@@ -88,14 +88,11 @@ CheckpointPlan plan_checkpoint(const Netlist& netlist, unsigned k,
 }
 
 /// Snapshots the rewriter's term map in a deterministic (sorted) order and
-/// writes it. The file format stores packed monomials whichever tier the
-/// chain runs on, so checkpoints transfer across --poly-repr settings. Save
-/// failures are logged, not fatal — checkpointing is an optimization, never
-/// a correctness dependency.
-template <class M>
+/// writes it. Save failures are logged, not fatal — checkpointing is an
+/// optimization, never a correctness dependency.
 void save_progress(const CheckpointPlan& plan, const Word* out_word,
                    unsigned k, std::uint64_t step,
-                   const typename BitRepr<M>::TermMap& terms) {
+                   const ShardedRewriter::TermMap& terms) {
   worker::ReductionCheckpoint cp;
   cp.k = k;
   cp.circuit_hash = plan.circuit_hash;
@@ -103,17 +100,16 @@ void save_progress(const CheckpointPlan& plan, const Word* out_word,
   cp.step = step;
   cp.terms.reserve(terms.size());
   for (const auto& [mono, coeff] : terms)
-    cp.terms.emplace_back(BitRepr<M>::to_packed(mono), coeff);
+    cp.terms.emplace_back(mono, coeff);
   std::sort(cp.terms.begin(), cp.terms.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   if (const Status s = worker::save_checkpoint(plan.path, cp); !s.ok())
     GFA_LOG_WARN("extract", "checkpoint save failed: " << s.message());
 }
 
-template <class M>
-WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
-                                   const Word* out_word,
-                                   const ExtractionOptions& options) {
+WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
+                              const Word* out_word,
+                              const ExtractionOptions& options) {
   const obs::TraceSpan extract_span("extract_word", "abstraction");
   report_phase("extract_word", 0, 0, 0, options.control);
   const unsigned k = field.k();
@@ -154,8 +150,8 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
                                               : parallel_available_width();
   if (seed_count > 0 && shards > seed_count)
     shards = static_cast<unsigned>(seed_count);
-  BasicShardedRewriter<M> chain(field, std::move(substitutable), shards,
-                                options.max_terms, options.control);
+  ShardedRewriter chain(field, std::move(substitutable), shards,
+                        options.max_terms, options.control);
   try {
     std::vector<NetId> rato;
     {
@@ -171,11 +167,11 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
       // occurrence indexes rebuild through add()); the first resume_step
       // substitutions of the deterministic RATO chain are already folded in.
       for (auto& [mono, coeff] : ckpt.resume_terms)
-        chain.seed(BitRepr<M>::from_packed(std::move(mono)), coeff);
+        chain.seed(std::move(mono), coeff);
       ckpt.resume_terms.clear();
     } else {
       for (unsigned j = 0; j < k; ++j)
-        chain.seed(M{out_word->bits[j]}, basis_elem(j));
+        chain.seed(BitMono{out_word->bits[j]}, basis_elem(j));
     }
     std::vector<NetId> gates;
     gates.reserve(rato.size());
@@ -202,7 +198,7 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
       stats.substitutions += end - step;
       step = end;
       if (ckpt.active && step < gates.size()) {
-        save_progress<M>(ckpt, out_word, k, step, chain.merged());
+        save_progress(ckpt, out_word, k, step, chain.merged());
         if (obs::progress_active())
           obs::flight::note("checkpoint:save", step, chain.num_terms());
       }
@@ -222,7 +218,7 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
   GFA_GAUGE_MAX("extract.peak_terms", stats.peak_terms);
 
   // The remainder now mentions only primary-input bits.
-  const typename BitRepr<M>::TermMap remainder = chain.take_merged();
+  const ShardedRewriter::TermMap remainder = chain.take_merged();
   stats.remainder_terms = remainder.size();
   bool any_bits = false;
   for (const auto& [m, c] : remainder) {
@@ -251,9 +247,7 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
     result.input_words.push_back(w->name);
   }
 
-  // Remap the remainder onto pool variable ids. Whichever tier the chain ran
-  // on, the lift boundary takes the packed form — everything downstream of
-  // here is representation-agnostic.
+  // Remap the remainder onto pool variable ids.
   BitPoly r(&field);
   r.reserve(remainder.size());
   std::vector<VarId> mapped;
@@ -287,19 +281,6 @@ WordFunction extract_for_word_impl(const Netlist& netlist, const Gf2k& field,
   }
   result.stats = stats;
   return result;
-}
-
-/// Tier dispatch: the whole chain (rewriter, checkpoint snapshots, remainder
-/// remap) is instantiated per monomial representation; the two instantiations
-/// produce bit-identical WordFunctions.
-WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
-                              const Word* out_word,
-                              const ExtractionOptions& options) {
-  return options.poly_repr == PolyRepr::kVector
-             ? extract_for_word_impl<LegacyBitMono>(netlist, field, out_word,
-                                                    options)
-             : extract_for_word_impl<BitMono>(netlist, field, out_word,
-                                              options);
 }
 
 }  // namespace

@@ -77,13 +77,6 @@ struct ExtractionOptions {
   /// for every value). 0 = auto: the pool width, capped by the seed size.
   /// 1 forces the serial chain.
   unsigned chain_shards = 0;
-  /// Monomial tier the reduction chain runs on (see bitpoly.h). kPacked is
-  /// the production default; kVector selects the legacy vector/unordered_map
-  /// representation for differential testing and the --poly-repr ablation.
-  /// The extracted polynomial is bit-identical either way — only speed and
-  /// memory differ. The word-level endgame (lift, equivalence) is unaffected:
-  /// it always runs on the generic MPoly ring.
-  PolyRepr poly_repr = PolyRepr::kPacked;
 };
 
 struct ExtractionStats {

@@ -21,9 +21,8 @@
 // choice is therefore *canonical* — equality and hashing never compare across
 // forms, and the inline fast paths stay branch-light.
 //
-// The representation is the unit of the "packed" tier in the phase-aware
-// facade (bitpoly.h): the circuit-variable phase (rewriter chain, extractor,
-// F4, hierarchy) runs entirely on PackedMono keys; the word-level
+// This is BitMono (bitpoly.h): the circuit-variable phase (rewriter chain,
+// extractor, hierarchy) runs entirely on PackedMono keys; the word-level
 // BigUint-exponent endgame (word_lift, equivalence) stays on the generic
 // MPoly ring.
 
@@ -215,8 +214,7 @@ class PackedMono {
     return without_spilled(v);
   }
 
-  /// The ids as a plain vector (serialization, conversions to the legacy
-  /// representation).
+  /// The ids as a plain vector.
   std::vector<VarId> ids() const { return std::vector<VarId>(begin(), end()); }
 
  private:

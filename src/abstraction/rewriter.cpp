@@ -13,22 +13,6 @@ namespace gfa {
 
 namespace {
 
-/// Moves every (monomial, coefficient) pair out of `map` through `fn` and
-/// leaves the map empty. The packed tier drains its arena in slot order; the
-/// legacy tier extracts node handles. Both orders are unspecified, and both
-/// feed only commutative XOR-merges, so the merged polynomial is identical.
-template <class M, class Fn>
-void drain_map(typename BitRepr<M>::TermMap& map, Fn&& fn) {
-  if constexpr (BitRepr<M>::kKind == PolyRepr::kPacked) {
-    map.drain(fn);
-  } else {
-    while (!map.empty()) {
-      auto nh = map.extract(map.begin());
-      fn(std::move(nh.key()), std::move(nh.mapped()));
-    }
-  }
-}
-
 /// Runs one substitution, recording its latency into the
 /// rewriter.substitution_us histogram when `sample` is set. The clock pair is
 /// the whole cost, so callers pass sample = metrics_enabled && a 1-in-64
@@ -49,23 +33,21 @@ inline void timed_substitute(bool sample, Fn&& fn) {
 
 }  // namespace
 
-template <class M>
 template <class TailT>
-void BasicBackwardRewriter<M>::substitute_impl(VarId v, const TailT& tail) {
+void BackwardRewriter::substitute_impl(VarId v, const TailT& tail) {
   // Flat tails carry implicit all-one coefficients: every expanded term
   // reuses the affected term's coefficient unchanged, and the last expansion
   // moves it (its heap buffer lands in the map without a copy).
-  constexpr bool kFlat = std::is_same_v<TailT, FlatTail<M>>;
-  constexpr bool kPacked = std::is_same_v<M, PackedMono>;
+  constexpr bool kFlat = std::is_same_v<TailT, FlatTail>;
   if (occurs_[v].empty()) return;  // cheap skip for sharded chains
-  typename OccListOf<M>::type pending = std::move(occurs_[v]);
+  OccList pending = std::move(occurs_[v]);
   occurs_[v] = {};
 
   const unsigned width =
       pending.size() < kChunkedSubstitutionMin ? 1 : parallel_available_width();
   if (width < 2) {
     const std::size_t np = pending.size();
-    if constexpr (kFlat && kPacked) {
+    if constexpr (kFlat) {
       if (tail.monos.size() == 2) {
         // XOR2 — the dominant gate shape — gets a software-pipelined loop.
         // Every map access here is a random probe into a table far larger
@@ -75,10 +57,10 @@ void BasicBackwardRewriter<M>::substitute_impl(VarId v, const TailT& tail) {
         // prefetched a full iteration (~several hundred cycles) ahead,
         // overlapping misses that a naive loop serializes.
         const auto& ms = tail.monos;
-        M nm0, nm1;  // staged expansion of pending[pi + 1]
-        const auto stage = [&](const M& mono) {
+        BitMono nm0, nm1;  // staged expansion of pending[pi + 1]
+        const auto stage = [&](const BitMono& mono) {
           terms_.prefetch(mono);
-          const M rest = Repr::without(mono, v);
+          const BitMono rest = mono.without(v);
           nm0 = bitmono_mul(rest, ms[0]);
           nm1 = bitmono_mul(rest, ms[1]);
           terms_.prefetch(nm0);
@@ -92,9 +74,9 @@ void BasicBackwardRewriter<M>::substitute_impl(VarId v, const TailT& tail) {
         };
         stage(pending[0]);
         for (std::size_t pi = 0; pi < np; ++pi) {
-          M m0 = std::move(nm0);
-          M m1 = std::move(nm1);
-          const M& mono = pending[pi];
+          BitMono m0 = std::move(nm0);
+          BitMono m1 = std::move(nm1);
+          const BitMono& mono = pending[pi];
           const std::size_t b = occ_entry_bytes(mono);
           occ_bytes_ = occ_bytes_ > b ? occ_bytes_ - b : 0;
           // The find's slot line was prefetched an iteration ago; probe now,
@@ -107,7 +89,7 @@ void BasicBackwardRewriter<M>::substitute_impl(VarId v, const TailT& tail) {
           if (pi + 1 < np) stage(pending[pi + 1]);
           if (!live) continue;  // cancelled since registration
           Gf2k::Elem coeff = std::move(it->second);
-          spill_bytes_ -= Repr::mono_heap_bytes(it->first);
+          spill_bytes_ -= it->first.spill_bytes();
           terms_.erase(it);
           add(std::move(m0), coeff);
           add(std::move(m1), std::move(coeff));
@@ -118,20 +100,18 @@ void BasicBackwardRewriter<M>::substitute_impl(VarId v, const TailT& tail) {
     // Generic serial path: erase, strip v, expand — one term at a time,
     // with the next term's find slot prefetched while the current expands.
     for (std::size_t pi = 0; pi < np; ++pi) {
-      const M& mono = pending[pi];
-      if constexpr (kPacked) {
-        if (pi + 1 < np) terms_.prefetch(pending[pi + 1]);
-        if ((pi & 255u) == 0)
-          GFA_HISTOGRAM("rewriter.probe_len", terms_.probe_length(mono));
-      }
+      const BitMono& mono = pending[pi];
+      if (pi + 1 < np) terms_.prefetch(pending[pi + 1]);
+      if ((pi & 255u) == 0)
+        GFA_HISTOGRAM("rewriter.probe_len", terms_.probe_length(mono));
       const std::size_t b = occ_entry_bytes(mono);
       occ_bytes_ = occ_bytes_ > b ? occ_bytes_ - b : 0;
       auto it = terms_.find(mono);
       if (it == terms_.end()) continue;  // cancelled since registration
       Gf2k::Elem coeff = std::move(it->second);
-      spill_bytes_ -= Repr::mono_heap_bytes(it->first);
+      spill_bytes_ -= it->first.spill_bytes();
       terms_.erase(it);
-      const M rest = Repr::without(mono, v);
+      const BitMono rest = mono.without(v);
       if constexpr (kFlat) {
         const auto& ms = tail.monos;
         for (std::size_t t = 0; t + 1 < ms.size(); ++t)
@@ -155,23 +135,21 @@ void BasicBackwardRewriter<M>::substitute_impl(VarId v, const TailT& tail) {
   // of them up front is equivalent to the serial interleaving.
   std::vector<Affected> work;
   work.reserve(pending.size());
-  [[maybe_unused]] std::size_t di = 0;
-  for (const M& mono : pending) {
-    if constexpr (kPacked) {
-      // Large detach batches mean a large table — sample how long the open
-      // addressing probe chains have grown (observability re-walk, off the
-      // find itself).
-      if ((di++ & 255u) == 0)
-        GFA_HISTOGRAM("rewriter.probe_len", terms_.probe_length(mono));
-    }
+  std::size_t di = 0;
+  for (const BitMono& mono : pending) {
+    // Large detach batches mean a large table — sample how long the open
+    // addressing probe chains have grown (observability re-walk, off the
+    // find itself).
+    if ((di++ & 255u) == 0)
+      GFA_HISTOGRAM("rewriter.probe_len", terms_.probe_length(mono));
     const std::size_t b = occ_entry_bytes(mono);
     occ_bytes_ = occ_bytes_ > b ? occ_bytes_ - b : 0;
     auto it = terms_.find(mono);
     if (it == terms_.end()) continue;
     Affected a;
     a.coeff = it->second;
-    a.rest = Repr::without(mono, v);
-    spill_bytes_ -= Repr::mono_heap_bytes(it->first);
+    a.rest = mono.without(v);
+    spill_bytes_ -= it->first.spill_bytes();
     terms_.erase(it);
     work.push_back(std::move(a));
   }
@@ -195,11 +173,9 @@ void BasicBackwardRewriter<M>::substitute_impl(VarId v, const TailT& tail) {
   expand_chunked(work, tail, width);
 }
 
-template <class M>
 template <class TailT>
-void BasicBackwardRewriter<M>::expand_chunked(const std::vector<Affected>& work,
-                                              const TailT& tail,
-                                              unsigned width) {
+void BackwardRewriter::expand_chunked(const std::vector<Affected>& work,
+                                      const TailT& tail, unsigned width) {
   const std::size_t shards =
       std::min<std::size_t>(width, work.size() / (kChunkedSubstitutionMin / 2));
   GFA_COUNT("rewriter.shards", shards);
@@ -217,8 +193,8 @@ void BasicBackwardRewriter<M>::expand_chunked(const std::vector<Affected>& work,
     leases[s].emplace(budget_of(control_), BudgetSite::kRewriterTerms);
     TermMap& mine = local[s];
     std::size_t ops = 0;
-    constexpr bool kFlat = std::is_same_v<TailT, FlatTail<M>>;
-    auto accumulate = [&](M m, const Gf2k::Elem& c) {
+    constexpr bool kFlat = std::is_same_v<TailT, FlatTail>;
+    auto accumulate = [&](BitMono m, const Gf2k::Elem& c) {
       auto [it, inserted] = mine.try_emplace(std::move(m), c);
       if (!inserted) {
         it->second += c;
@@ -226,13 +202,13 @@ void BasicBackwardRewriter<M>::expand_chunked(const std::vector<Affected>& work,
       }
       if ((++ops & 63u) == 0) {
         throw_if_stopped(control_);
-        leases[s]->set_bytes(Repr::map_bytes(mine));
+        leases[s]->set_bytes(map_bytes(mine));
       }
     };
     for (std::size_t i = s; i < work.size(); i += shards) {
       const Affected& a = work[i];
       if constexpr (kFlat) {
-        for (const M& tmono : tail.monos)
+        for (const BitMono& tmono : tail.monos)
           accumulate(bitmono_mul(a.rest, tmono), a.coeff);
       } else {
         for (const auto& [tmono, tcoeff] : tail.terms())
@@ -240,7 +216,7 @@ void BasicBackwardRewriter<M>::expand_chunked(const std::vector<Affected>& work,
                      tcoeff.is_one() ? a.coeff : field_.mul(a.coeff, tcoeff));
       }
     }
-    leases[s]->set_bytes(Repr::map_bytes(mine));
+    leases[s]->set_bytes(map_bytes(mine));
   }, control_);
 
   // Deterministic merge: fixed shard order, XOR-combine through add() so the
@@ -253,7 +229,7 @@ void BasicBackwardRewriter<M>::expand_chunked(const std::vector<Affected>& work,
   for (std::size_t s = 0; s < shards; ++s) {
     merge_terms += local[s].size();
     GFA_HISTOGRAM("rewriter.merge_shard_terms", local[s].size());
-    drain_map<M>(local[s], [this](M m, Gf2k::Elem c) {
+    local[s].drain([this](BitMono m, Gf2k::Elem c) {
       add(std::move(m), std::move(c));
     });
     leases[s].reset();
@@ -261,13 +237,11 @@ void BasicBackwardRewriter<M>::expand_chunked(const std::vector<Affected>& work,
   GFA_COUNT("rewriter.merge_terms", merge_terms);
 }
 
-template <class M>
-BasicShardedRewriter<M>::BasicShardedRewriter(const Gf2k& field,
-                                              std::vector<bool> substitutable,
-                                              unsigned shards,
-                                              std::size_t max_terms,
-                                              const ExecControl* control)
-    : field_(field), max_terms_(max_terms), control_(control) {
+ShardedRewriter::ShardedRewriter(const Gf2k& field,
+                                 std::vector<bool> substitutable,
+                                 unsigned shards, std::size_t max_terms,
+                                 const ExecControl* control)
+    : max_terms_(max_terms), control_(control) {
   if (shards < 1) shards = 1;
   shards_.reserve(shards);
   for (unsigned s = 0; s < shards; ++s)
@@ -276,45 +250,33 @@ BasicShardedRewriter<M>::BasicShardedRewriter(const Gf2k& field,
         max_terms, control));
 }
 
-template <class M>
-void BasicShardedRewriter<M>::seed(M mono, const Gf2k::Elem& coeff) {
+void ShardedRewriter::seed(BitMono mono, const Gf2k::Elem& coeff) {
   shards_[next_seed_ % shards_.size()]->add(std::move(mono), coeff);
   ++next_seed_;
 }
 
-template <class M>
-void BasicShardedRewriter<M>::run_segment(const Netlist& netlist,
-                                          const std::vector<NetId>& gates,
-                                          std::size_t from, std::size_t to) {
+void ShardedRewriter::run_segment(const Netlist& netlist,
+                                  const std::vector<NetId>& gates,
+                                  std::size_t from, std::size_t to) {
   assert(to <= gates.size() && from <= to);
   const std::size_t n = shards_.size();
   const bool measured = obs::metrics_enabled();
   if (n == 1) {
     Shard& rw = *shards_[0];
-    if constexpr (BitRepr<M>::kKind == PolyRepr::kPacked) {
-      // Serial chain: one scratch tail reused across all gates (capacity
-      // sticks, so steady-state tail construction is allocation-free), and
-      // gates absent from the working polynomial skip tail construction
-      // outright (substitution would be a no-op — the occurrence index only
-      // over-approximates, never misses).
-      GateTail<M> tail;
-      for (std::size_t i = from; i < to; ++i) {
-        throw_if_stopped(control_);
-        if (i + 2 < to) rw.prefetch_occurrence_list(gates[i + 2]);
-        if (i + 1 < to) rw.prefetch_pending(gates[i + 1]);
-        if (rw.occurrences(gates[i]) == 0) continue;
-        fill_gate_tail(field_, netlist.gate(gates[i]), tail);
-        timed_substitute(measured && (i & 63u) == 0,
-                         [&] { rw.substitute(gates[i], tail); });
-      }
-    } else {
-      for (std::size_t i = from; i < to; ++i) {
-        throw_if_stopped(control_);
-        timed_substitute(measured && (i & 63u) == 0, [&] {
-          rw.substitute(gates[i],
-                        make_gate_tail<M>(field_, netlist.gate(gates[i])));
-        });
-      }
+    // Serial chain: one scratch tail reused across all gates (capacity
+    // sticks, so steady-state tail construction is allocation-free), and
+    // gates absent from the working polynomial skip tail construction
+    // outright (substitution would be a no-op — the occurrence index only
+    // over-approximates, never misses).
+    FlatTail tail;
+    for (std::size_t i = from; i < to; ++i) {
+      throw_if_stopped(control_);
+      if (i + 2 < to) rw.prefetch_occurrence_list(gates[i + 2]);
+      if (i + 1 < to) rw.prefetch_pending(gates[i + 1]);
+      if (rw.occurrences(gates[i]) == 0) continue;
+      fill_gate_tail(netlist.gate(gates[i]), tail);
+      timed_substitute(measured && (i & 63u) == 0,
+                       [&] { rw.substitute(gates[i], tail); });
     }
     check_total_terms();
     return;
@@ -325,15 +287,12 @@ void BasicShardedRewriter<M>::run_segment(const Netlist& netlist,
   // chains; the inter-block barriers are parallel_for dispatches (~µs) every
   // few thousand substitutions.
   constexpr std::size_t kTailBlock = 2048;
-  std::vector<GateTail<M>> tails;
+  std::vector<FlatTail> tails;
   for (std::size_t block = from; block < to; block += kTailBlock) {
     const std::size_t block_end = std::min(block + kTailBlock, to);
-    if constexpr (BitRepr<M>::kKind == PolyRepr::kPacked)
-      tails.assign(block_end - block, GateTail<M>{});
-    else
-      tails.assign(block_end - block, GateTail<M>(&field_));
+    tails.assign(block_end - block, FlatTail{});
     parallel_for(block_end - block, [&](std::size_t i) {
-      tails[i] = make_gate_tail<M>(field_, netlist.gate(gates[block + i]));
+      fill_gate_tail(netlist.gate(gates[block + i]), tails[i]);
     }, control_);
     parallel_for(n, [&](std::size_t s) {
       Shard& rw = *shards_[s];
@@ -347,29 +306,24 @@ void BasicShardedRewriter<M>::run_segment(const Netlist& netlist,
   check_total_terms();
 }
 
-template <class M>
-std::size_t BasicShardedRewriter<M>::num_terms() const {
+std::size_t ShardedRewriter::num_terms() const {
   std::size_t total = 0;
   for (const auto& s : shards_) total += s->num_terms();
   return total;
 }
 
-template <class M>
-std::size_t BasicShardedRewriter<M>::peak_terms() const {
+std::size_t ShardedRewriter::peak_terms() const {
   std::size_t total = 0;
   for (const auto& s : shards_) total += s->peak_terms();
   return total;
 }
 
-template <class M>
-void BasicShardedRewriter<M>::check_total_terms() const {
+void ShardedRewriter::check_total_terms() const {
   if (max_terms_ && num_terms() > max_terms_)
     throw RewriteBudgetExceeded("rewriting term budget exceeded");
 }
 
-template <class M>
-typename BasicShardedRewriter<M>::TermMap BasicShardedRewriter<M>::merged()
-    const {
+ShardedRewriter::TermMap ShardedRewriter::merged() const {
   TermMap out = shards_[0]->terms();
   for (std::size_t s = 1; s < shards_.size(); ++s) {
     for (const auto& [m, c] : shards_[s]->terms()) {
@@ -383,12 +337,11 @@ typename BasicShardedRewriter<M>::TermMap BasicShardedRewriter<M>::merged()
   return out;
 }
 
-template <class M>
-typename BasicShardedRewriter<M>::TermMap BasicShardedRewriter<M>::take_merged() {
+ShardedRewriter::TermMap ShardedRewriter::take_merged() {
   TermMap out = shards_[0]->take_terms();
   for (std::size_t s = 1; s < shards_.size(); ++s) {
     TermMap rest = shards_[s]->take_terms();
-    drain_map<M>(rest, [&out](M m, Gf2k::Elem c) {
+    rest.drain([&out](BitMono m, Gf2k::Elem c) {
       auto [it, inserted] = out.try_emplace(std::move(m), c);
       if (!inserted) {
         it->second += c;
@@ -399,14 +352,12 @@ typename BasicShardedRewriter<M>::TermMap BasicShardedRewriter<M>::take_merged()
   return out;
 }
 
-template <class M>
-BasicBitPoly<M> gate_tail_bitpoly_t(const Gf2k& field, const Netlist::Gate& g) {
-  using Poly = BasicBitPoly<M>;
-  Poly one = Poly::constant(&field, field.one());
-  auto var = [&](NetId n) { return Poly::variable(&field, n); };
+BitPoly gate_tail_bitpoly(const Gf2k& field, const Netlist::Gate& g) {
+  BitPoly one = BitPoly::constant(&field, field.one());
+  auto var = [&](NetId n) { return BitPoly::variable(&field, n); };
   switch (g.type) {
     case GateType::kConst0:
-      return Poly(&field);
+      return BitPoly(&field);
     case GateType::kConst1:
       return one;
     case GateType::kBuf:
@@ -418,19 +369,19 @@ BasicBitPoly<M> gate_tail_bitpoly_t(const Gf2k& field, const Netlist::Gate& g) {
       std::vector<VarId> ids(g.fanins.begin(), g.fanins.end());
       std::sort(ids.begin(), ids.end());
       ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      Poly p(&field);
-      p.add_term(BitRepr<M>::from_ids(std::move(ids)), field.one());
+      BitPoly p(&field);
+      p.add_term(BitMono::from_sorted(ids.data(), ids.size()), field.one());
       return g.type == GateType::kNand ? p + one : p;
     }
     case GateType::kOr:
     case GateType::kNor: {
-      Poly p = one;
+      BitPoly p = one;
       for (NetId f : g.fanins) p = p * (var(f) + one);
       return g.type == GateType::kNor ? p : p + one;
     }
     case GateType::kXor:
     case GateType::kXnor: {
-      Poly p(&field);
+      BitPoly p(&field);
       for (NetId f : g.fanins) p += var(f);
       return g.type == GateType::kXnor ? p + one : p;
     }
@@ -438,16 +389,14 @@ BasicBitPoly<M> gate_tail_bitpoly_t(const Gf2k& field, const Netlist::Gate& g) {
       break;
   }
   assert(false && "inputs have no tail");
-  return Poly(&field);
+  return BitPoly(&field);
 }
 
-/// Packed-tier tail builder: monomials pushed straight into a flat vector
+/// Flat tail builder: monomials pushed straight into a flat vector
 /// (coefficients are implicitly 1 — see FlatTail). Fanin ids are staged in a
 /// stack buffer, so building a tail touches the heap only when the vector
 /// outgrows its retained capacity or a monomial spills.
-void fill_gate_tail(const Gf2k& field, const Netlist::Gate& g,
-                    FlatTail<PackedMono>& tail) {
-  (void)field;  // tails are field-independent; kept for signature symmetry
+void fill_gate_tail(const Netlist::Gate& g, FlatTail& tail) {
   auto& out = tail.monos;
   out.clear();
   constexpr std::size_t kStackIds = 16;
@@ -520,42 +469,9 @@ void fill_gate_tail(const Gf2k& field, const Netlist::Gate& g,
   assert(false && "inputs have no tail");
 }
 
-template <>
-FlatTail<PackedMono> make_gate_tail<PackedMono>(const Gf2k& field,
-                                                const Netlist::Gate& g) {
-  FlatTail<PackedMono> tail;
-  fill_gate_tail(field, g, tail);
-  return tail;
-}
-
-/// Legacy tier: tails stay hash-map polynomials, built exactly as before the
-/// packed layer existed — the ablation baseline must not silently inherit
-/// packed-tier optimizations.
-template <>
-LegacyBitPoly make_gate_tail<LegacyBitMono>(const Gf2k& field,
-                                            const Netlist::Gate& g) {
-  return gate_tail_bitpoly_t<LegacyBitMono>(field, g);
-}
-
-template class BasicBackwardRewriter<BitMono>;
-template class BasicBackwardRewriter<LegacyBitMono>;
-template class BasicShardedRewriter<BitMono>;
-template class BasicShardedRewriter<LegacyBitMono>;
-
 // The tail-shaped member templates reached through the inline substitute()
-// overloads, instantiated explicitly so extern-template users always link.
-template void BasicBackwardRewriter<BitMono>::substitute_impl(
-    VarId, const BitPoly&);
-template void BasicBackwardRewriter<BitMono>::substitute_impl(
-    VarId, const FlatTail<BitMono>&);
-template void BasicBackwardRewriter<LegacyBitMono>::substitute_impl(
-    VarId, const LegacyBitPoly&);
-template void BasicBackwardRewriter<LegacyBitMono>::substitute_impl(
-    VarId, const FlatTail<LegacyBitMono>&);
-
-template BitPoly gate_tail_bitpoly_t<BitMono>(const Gf2k&,
-                                              const Netlist::Gate&);
-template LegacyBitPoly gate_tail_bitpoly_t<LegacyBitMono>(
-    const Gf2k&, const Netlist::Gate&);
+// overloads.
+template void BackwardRewriter::substitute_impl(VarId, const BitPoly&);
+template void BackwardRewriter::substitute_impl(VarId, const FlatTail&);
 
 }  // namespace gfa

@@ -7,14 +7,6 @@
 // actually contain it. Under RATO this sequence of substitutions *is* the
 // Gröbner-basis reduction chain (see extractor.h).
 //
-// The engine is templated on the monomial representation (BitRepr<M> in
-// bitpoly.h): BackwardRewriter/ShardedRewriter are the packed-tier
-// instantiations every production path uses; the Legacy* aliases instantiate
-// the pre-packing vector/unordered_map tier for differential tests and the
-// --poly-repr=vector ablation. Both instantiations run the identical
-// algorithm and merge in the identical fixed order, so their results are
-// bit-identical term for term.
-//
 // Two layers of parallelism sit on top of the serial engine, both bit-exact:
 //
 //   * Chunked substitution (BackwardRewriter::substitute): when one gate
@@ -56,47 +48,25 @@ inline constexpr std::size_t kChunkedSubstitutionMin = 128;
 /// A gate tail as a flat monomial list with every coefficient implicitly 1.
 /// Substitution only ever *iterates* a tail's terms — it never looks one up —
 /// and every boolean gate's tail polynomial over F_{2^k} has all-one
-/// coefficients, so the packed tier builds tails as plain monomial vectors
-/// straight from the gate structure instead of routing them through a
-/// hash-map polynomial (one map, several temporaries, and one heap-allocated
-/// field element per term, per gate; over half the reduction-chain wall time
-/// at k=163 before this existed). The legacy tier keeps building BasicBitPoly
-/// tails, preserving the pre-packing baseline the ablation measures against.
-template <class M>
+/// coefficients, so the chain builds tails as plain monomial vectors straight
+/// from the gate structure instead of routing them through a hash-map
+/// polynomial (one map, several temporaries, and one heap-allocated field
+/// element per term, per gate; over half the reduction-chain wall time at
+/// k=163 before this existed). Term order within a tail is not specified —
+/// tails only feed commutative XOR-accumulation.
 struct FlatTail {
-  std::vector<M> monos;
+  std::vector<BitMono> monos;
 };
-
-template <class M>
-struct TailOf {
-  using type = BasicBitPoly<M>;
-};
-template <>
-struct TailOf<PackedMono> {
-  using type = FlatTail<PackedMono>;
-};
-
-/// The tail representation the M-tier reduction chain substitutes with.
-template <class M>
-using GateTail = typename TailOf<M>::type;
-
-/// Builds a gate's tail in the tier's substitution representation. Term
-/// *content* is identical across tiers (term order within a tail is not
-/// specified — tails only feed commutative XOR-accumulation).
-template <class M>
-GateTail<M> make_gate_tail(const Gf2k& field, const Netlist::Gate& gate);
 
 /// Rebuilds `tail` in place for `gate`, reusing its vector capacity. The
 /// serial chain calls this once per gate; with the spill pool behind wide
 /// monomials, steady-state tail construction allocates nothing at all.
-void fill_gate_tail(const Gf2k& field, const Netlist::Gate& gate,
-                    FlatTail<PackedMono>& tail);
+void fill_gate_tail(const Netlist::Gate& gate, FlatTail& tail);
 
 /// A vector with N inline slots that spills to a heap vector past them.
-/// Backs the packed tier's occurrence index: in XOR-dominated multiplier
-/// chains almost every substitutable variable occurs in one or two working
-/// terms, so the per-variable occurrence lists stay malloc-free (the legacy
-/// tier keeps plain std::vector lists — the frozen ablation baseline).
+/// Backs the occurrence index: in XOR-dominated multiplier chains almost
+/// every substitutable variable occurs in one or two working terms, so the
+/// per-variable occurrence lists stay malloc-free.
 template <class T, std::size_t N>
 class InlineSmallVec {
  public:
@@ -146,31 +116,18 @@ class InlineSmallVec {
   std::vector<T> heap_;
 };
 
-/// The occurrence-list container of the M-tier rewriter.
-template <class M>
-struct OccListOf {
-  using type = std::vector<M>;
-};
-template <>
-struct OccListOf<PackedMono> {
-  using type = InlineSmallVec<PackedMono, 2>;
-};
-
-template <class M>
-class BasicBackwardRewriter {
+class BackwardRewriter {
  public:
-  using Repr = BitRepr<M>;
-  using Poly = BasicBitPoly<M>;
-  using TermMap = typename Repr::TermMap;
+  using TermMap = BitPoly::TermMap;
 
   /// `substitutable[v]` marks variables that may later be substituted (gate
   /// outputs); only those are indexed. `max_terms` = 0 disables the budget.
   /// A control carrying a ResourceBudget additionally bounds the term map
   /// and occurrence index in bytes (site rewriter.terms); its deadline and
   /// cancel token are polled inside chunked-substitution shard loops.
-  BasicBackwardRewriter(const Gf2k& field, std::vector<bool> substitutable,
-                        std::size_t max_terms = 0,
-                        const ExecControl* control = nullptr)
+  BackwardRewriter(const Gf2k& field, std::vector<bool> substitutable,
+                   std::size_t max_terms = 0,
+                   const ExecControl* control = nullptr)
       : field_(field),
         substitutable_(std::move(substitutable)),
         occurs_(substitutable_.size()),
@@ -178,30 +135,28 @@ class BasicBackwardRewriter {
         control_(control),
         lease_(budget_of(control), BudgetSite::kRewriterTerms) {}
 
-  void add(M mono, const Gf2k::Elem& coeff) {
+  void add(BitMono mono, const Gf2k::Elem& coeff) {
     add_impl(std::move(mono), coeff);
   }
   /// Move overload: on a fresh insert the coefficient's heap buffer moves
   /// into the map instead of being copied (one malloc per term at k > 64).
-  void add(M mono, Gf2k::Elem&& coeff) {
+  void add(BitMono mono, Gf2k::Elem&& coeff) {
     add_impl(std::move(mono), std::move(coeff));
   }
 
  private:
   template <class C>
-  void add_impl(M mono, C&& coeff) {
+  void add_impl(BitMono mono, C&& coeff) {
     if (coeff.is_zero()) return;
     GFA_FAULT_POINT("oom:rewriter.add");
-    // The packed tier recycles spent coefficient buffers (cancelled terms,
-    // unconsumed rvalues) through a small pool: a copy-insert lands in a
-    // recycled buffer's capacity instead of a fresh heap block. The legacy
-    // tier keeps the baseline allocation behavior.
-    constexpr bool kRecycle = std::is_same_v<M, PackedMono>;
+    // Spent coefficient buffers (cancelled terms, unconsumed rvalues) are
+    // recycled through a small pool: a copy-insert lands in a recycled
+    // buffer's capacity instead of a fresh heap block.
     constexpr bool kByMove = !std::is_reference_v<C>;
     // try_emplace leaves `mono` (and `coeff`) intact when the key already
     // exists; it forwards the coefficient only on a fresh insert.
-    std::pair<typename TermMap::iterator, bool> r;
-    if constexpr (kRecycle && !kByMove) {
+    std::pair<TermMap::iterator, bool> r;
+    if constexpr (!kByMove) {
       r = terms_.try_emplace(std::move(mono));
       if (r.second) {
         Gf2k::Elem& slot = r.first->second;
@@ -217,15 +172,15 @@ class BasicBackwardRewriter {
     auto [it, inserted] = r;
     if (!inserted) {
       it->second += coeff;
-      if constexpr (kRecycle && kByMove) recycle(std::move(coeff));
+      if constexpr (kByMove) recycle(std::move(coeff));
       if (it->second.is_zero()) {
-        spill_bytes_ -= Repr::mono_heap_bytes(it->first);
-        if constexpr (kRecycle) recycle(std::move(it->second));
+        spill_bytes_ -= it->first.spill_bytes();
+        recycle(std::move(it->second));
         terms_.erase(it);
       }
       return;  // already indexed
     }
-    spill_bytes_ += Repr::mono_heap_bytes(it->first);
+    spill_bytes_ += it->first.spill_bytes();
     for (VarId v : it->first) {
       if (substitutable_[v]) {
         occurs_[v].push_back(it->first);
@@ -238,23 +193,21 @@ class BasicBackwardRewriter {
     // Byte accounting is synced every 64 mutations — often enough to stop a
     // blow-up, rare enough to keep the atomics out of the inner loop.
     if (lease_.active() && (++budget_ops_ & 63u) == 0)
-      lease_.set_bytes(Repr::map_bytes(terms_) + spill_bytes_ + occ_bytes_);
+      lease_.set_bytes(map_bytes(terms_) + spill_bytes_ + occ_bytes_);
   }
 
  public:
-  void add(const Poly& p) {
+  void add(const BitPoly& p) {
     for (const auto& [m, c] : p.terms()) add(m, c);
   }
 
   /// Replaces every occurrence of variable v by `tail` (a polynomial over
   /// variables that will be substituted after v, or never). Fans out across
   /// the pool when enough terms are affected (see header comment); the
-  /// result is bit-identical either way. Accepts the tier's flat tail form
-  /// (what the chain feeds it) or a full polynomial (tests, baselines).
-  void substitute(VarId v, const Poly& tail) { substitute_impl(v, tail); }
-  void substitute(VarId v, const FlatTail<M>& tail) {
-    substitute_impl(v, tail);
-  }
+  /// result is bit-identical either way. Accepts the flat tail form (what
+  /// the chain feeds it) or a full polynomial (tests, baselines).
+  void substitute(VarId v, const BitPoly& tail) { substitute_impl(v, tail); }
+  void substitute(VarId v, const FlatTail& tail) { substitute_impl(v, tail); }
 
   std::size_t num_terms() const { return terms_.size(); }
   const TermMap& terms() const { return terms_; }
@@ -275,26 +228,22 @@ class BasicBackwardRewriter {
   /// expands. Two levels, matching the dependency chain: the occurrence
   /// list line first (its inline slots hold the pending monomials), then —
   /// one gate later, once that line is resident — the term-map slots those
-  /// monomials probe. Advisory only; no-ops on the legacy tier, whose
-  /// baseline behavior stays frozen for the ablation.
+  /// monomials probe. Advisory only.
   void prefetch_occurrence_list(VarId v) const {
-    if constexpr (std::is_same_v<M, PackedMono>)
-      __builtin_prefetch(&occurs_[v], 0, 1);
+    __builtin_prefetch(&occurs_[v], 0, 1);
   }
   void prefetch_pending(VarId v) const {
-    if constexpr (std::is_same_v<M, PackedMono>) {
-      const auto& pending = occurs_[v];
-      std::size_t n = pending.size();
-      if (n > 4) n = 4;  // a few lines of lead is all the loop can use
-      for (std::size_t i = 0; i < n; ++i) terms_.prefetch(pending[i]);
-    }
+    const OccList& pending = occurs_[v];
+    std::size_t n = pending.size();
+    if (n > 4) n = 4;  // a few lines of lead is all the loop can use
+    for (std::size_t i = 0; i < n; ++i) terms_.prefetch(pending[i]);
   }
 
  private:
   /// One affected term, detached from the map: the monomial minus v, plus
   /// its coefficient.
   struct Affected {
-    M rest;
+    BitMono rest;
     Gf2k::Elem coeff;
   };
 
@@ -305,15 +254,19 @@ class BasicBackwardRewriter {
   void expand_chunked(const std::vector<Affected>& work, const TailT& tail,
                       unsigned width);
 
-  /// Heap footprint of one occurrence-index entry (vector slot + the copied
-  /// monomial). The packed tier's inline monomials cost the slot alone and
-  /// spilled ones add their arena buffer; the legacy tier keeps its original
-  /// node-plus-id-buffer estimate.
-  static std::size_t occ_entry_bytes(const M& m) {
-    if constexpr (std::is_same_v<M, PackedMono>)
-      return sizeof(M) + Repr::mono_heap_bytes(m);
-    else
-      return 32 + sizeof(VarId) * m.size();
+  using OccList = InlineSmallVec<BitMono, 2>;
+
+  /// Heap footprint of one occurrence-index entry: inline monomials cost the
+  /// slot alone, spilled ones add their arena buffer.
+  static std::size_t occ_entry_bytes(const BitMono& m) {
+    return sizeof(BitMono) + m.spill_bytes();
+  }
+
+  /// Bytes the term map charges against the rewriter.terms budget site:
+  /// exact arena footprint plus a per-coefficient estimate (the Gf2Poly word
+  /// buffers live outside the arena).
+  static std::size_t map_bytes(const TermMap& t) {
+    return t.allocated_bytes() + t.size() * 32;
   }
 
   /// Banks a spent coefficient's heap buffer for reuse (bounded pool).
@@ -325,7 +278,7 @@ class BasicBackwardRewriter {
   const Gf2k& field_;
   std::vector<bool> substitutable_;
   TermMap terms_;
-  std::vector<typename OccListOf<M>::type> occurs_;
+  std::vector<OccList> occurs_;
   std::size_t max_terms_;
   const ExecControl* control_;
   std::size_t occ_bytes_ = 0;    // current occurrence-index footprint
@@ -335,9 +288,6 @@ class BasicBackwardRewriter {
   std::vector<Gf2k::Elem> elem_pool_;  // recycled coefficient buffers
   BudgetLease lease_;            // releases everything on destruction
 };
-
-using BackwardRewriter = BasicBackwardRewriter<BitMono>;
-using LegacyBackwardRewriter = BasicBackwardRewriter<LegacyBitMono>;
 
 /// One RATO reduction chain run as S independent sub-chains over a partition
 /// of the seed polynomial (see the header comment's linearity argument).
@@ -351,24 +301,19 @@ using LegacyBackwardRewriter = BasicBackwardRewriter<LegacyBitMono>;
 /// barrier, so a run that would have tripped serially still trips (possibly
 /// a segment later — budgets bound resources, they are not part of the
 /// canonical answer).
-template <class M>
-class BasicShardedRewriter {
+class ShardedRewriter {
  public:
-  using Shard = BasicBackwardRewriter<M>;
-  using TermMap = typename BitRepr<M>::TermMap;
+  using Shard = BackwardRewriter;
+  using TermMap = BackwardRewriter::TermMap;
 
-  BasicShardedRewriter(const Gf2k& field, std::vector<bool> substitutable,
-                       unsigned shards, std::size_t max_terms = 0,
-                       const ExecControl* control = nullptr);
-
-  unsigned shard_count() const {
-    return static_cast<unsigned>(shards_.size());
-  }
+  ShardedRewriter(const Gf2k& field, std::vector<bool> substitutable,
+                  unsigned shards, std::size_t max_terms = 0,
+                  const ExecControl* control = nullptr);
 
   /// Distributes one seed term round-robin. Call in a fixed order (the
   /// partition is deterministic given the call sequence; *any* partition
   /// merges to the same polynomial).
-  void seed(M mono, const Gf2k::Elem& coeff);
+  void seed(BitMono mono, const Gf2k::Elem& coeff);
 
   /// Substitutes gates[from, to) — in RATO order — into every shard,
   /// concurrently. Returns at a merge barrier: all shards have applied
@@ -394,30 +339,14 @@ class BasicShardedRewriter {
  private:
   void check_total_terms() const;
 
-  const Gf2k& field_;
   std::size_t max_terms_;
   const ExecControl* control_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t next_seed_ = 0;
 };
 
-using ShardedRewriter = BasicShardedRewriter<BitMono>;
-using LegacyShardedRewriter = BasicShardedRewriter<LegacyBitMono>;
-
-extern template class BasicBackwardRewriter<BitMono>;
-extern template class BasicBackwardRewriter<LegacyBitMono>;
-extern template class BasicShardedRewriter<BitMono>;
-extern template class BasicShardedRewriter<LegacyBitMono>;
-
 /// The tail polynomial of a gate over net-id variables (multilinear form of
-/// gate_tail_poly), in either monomial tier.
-template <class M>
-BasicBitPoly<M> gate_tail_bitpoly_t(const Gf2k& field,
-                                    const Netlist::Gate& gate);
-
-inline BitPoly gate_tail_bitpoly(const Gf2k& field,
-                                 const Netlist::Gate& gate) {
-  return gate_tail_bitpoly_t<BitMono>(field, gate);
-}
+/// gate_tail_poly).
+BitPoly gate_tail_bitpoly(const Gf2k& field, const Netlist::Gate& gate);
 
 }  // namespace gfa

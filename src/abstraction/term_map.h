@@ -1,6 +1,6 @@
 #pragma once
-// Open-addressing term map keyed by PackedMono: the arena half of the packed
-// polynomial tier. The generic unordered_map paid one node allocation plus a
+// Open-addressing term map keyed by PackedMono: the arena half of BitPoly
+// (bitpoly.h). The generic unordered_map paid one node allocation plus a
 // pointer chase per term; here every (monomial, coefficient) pair lives in a
 // single contiguous slot array — the arena — probed linearly from the
 // monomial's own full-avalanche hash. Growth doubles the arena and rehashes;
@@ -9,8 +9,7 @@
 //
 // Semantics intentionally mirror the std::unordered_map subset the
 // polynomial layer uses (try_emplace / find / at / erase(iterator) /
-// iteration / operator==), so BasicBitPoly templates over either map. Two
-// deliberate differences:
+// iteration / operator==). Two deliberate differences:
 //   * try_emplace takes the key by value (a PackedMono move is two words);
 //   * drain() replaces node-handle extraction for the deterministic shard
 //     merges — it moves every pair out in slot order and leaves the map
@@ -18,8 +17,7 @@
 //     XOR-merging coefficients in F_{2^k} is commutative and exact.
 //
 // allocated_bytes() is exact (capacity × slot footprint), which the rewriter
-// reports to the rewriter.terms ResourceBudget site instead of the per-entry
-// estimate the legacy representation needs.
+// reports to the rewriter.terms ResourceBudget site.
 
 #include <cstddef>
 #include <cstdint>

@@ -263,11 +263,10 @@ Result<ReductionCheckpoint> load_checkpoint(const std::string& path) {
   ReductionCheckpoint cp;
   std::uint32_t version = 0;
   if (!r.read_u32(version)) return damaged(path, "truncated version");
-  if (version < kMinReadableCheckpointVersion || version > kCheckpointVersion)
+  if (version != kCheckpointVersion)
     return damaged(path, "version skew (file v" + std::to_string(version) +
                              ", this build reads v" +
-                             std::to_string(kMinReadableCheckpointVersion) +
-                             "–v" + std::to_string(kCheckpointVersion) + ")");
+                             std::to_string(kCheckpointVersion) + ")");
   std::uint32_t word_len = 0;
   if (!r.read_u32(cp.k) || !r.read_u64(cp.circuit_hash) ||
       !r.read_u32(word_len) || !r.read_bytes(cp.word, word_len) ||
@@ -279,13 +278,7 @@ Result<ReductionCheckpoint> load_checkpoint(const std::string& path) {
   std::vector<VarId> ids;
   for (std::uint64_t t = 0; t < num_terms; ++t) {
     std::uint64_t mono_len = 0;
-    if (version == 2) {
-      std::uint32_t len32 = 0;
-      if (!r.read_u32(len32)) return damaged(path, "truncated monomial");
-      mono_len = len32;
-    } else if (!r.read_varint(mono_len)) {
-      return damaged(path, "truncated monomial");
-    }
+    if (!r.read_varint(mono_len)) return damaged(path, "truncated monomial");
     // A monomial longer than the remaining payload cannot be real; bail
     // before reserving absurd amounts for a corrupt length.
     if (mono_len > buf.size() - r.pos)
@@ -294,18 +287,11 @@ Result<ReductionCheckpoint> load_checkpoint(const std::string& path) {
     ids.reserve(static_cast<std::size_t>(mono_len));
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; i < mono_len; ++i) {
-      std::uint64_t v = 0;
-      if (version == 2) {
-        std::uint32_t v32 = 0;
-        if (!r.read_u32(v32)) return damaged(path, "truncated monomial");
-        v = v32;
-      } else {
-        std::uint64_t delta = 0;
-        if (!r.read_varint(delta)) return damaged(path, "truncated monomial");
-        if (i > 0 && delta == 0)
-          return damaged(path, "monomial ids not strictly increasing");
-        v = i == 0 ? delta : prev + delta;
-      }
+      std::uint64_t delta = 0;
+      if (!r.read_varint(delta)) return damaged(path, "truncated monomial");
+      if (i > 0 && delta == 0)
+        return damaged(path, "monomial ids not strictly increasing");
+      const std::uint64_t v = i == 0 ? delta : prev + delta;
       if (i > 0 && v <= prev)
         return damaged(path, "monomial ids not strictly increasing");
       if (v > UINT32_MAX) return damaged(path, "monomial id out of range");
@@ -313,7 +299,7 @@ Result<ReductionCheckpoint> load_checkpoint(const std::string& path) {
       prev = v;
     }
     std::uint64_t num_words = 0;
-    if (version == 2 ? !r.read_u64(num_words) : !r.read_varint(num_words))
+    if (!r.read_varint(num_words))
       return damaged(path, "truncated coefficient");
     if (num_words > (buf.size() - r.pos) / 8 + 1)
       return damaged(path, "coefficient length exceeds the file");

@@ -18,26 +18,22 @@
 //   u64     circuit_hash  (netlist_content_hash of the abstracted circuit)
 //   u32     word-name length, then that many bytes
 //   u64     step     substitutions already applied
-//   u64     term count, then per term (version-dependent, below)
+//   u64     term count, then per term (below)
 //   u32     CRC-32 of everything above
 //
-// Term encodings:
+// Term encoding: varint monomial length; the ids delta-encoded — the first
+// id as a varint, each later one as the varint difference to its
+// predecessor (ids are strictly increasing, so every delta is ≥ 1); varint
+// coefficient word count, then that many raw u64s (Gf2Poly::words()).
+// Varints are LEB128 (7 data bits per byte, high bit = continuation). Net
+// ids in a monomial are near-neighbors in practice, so a term costs a couple
+// of bytes instead of 4 per id.
 //
-//   v2 (read-only): u32 monomial length, then that many u32 net ids;
-//     u64 coefficient word count, then that many u64s (Gf2Poly::words()).
-//   v3 (written): varint monomial length; the ids delta-encoded — the first
-//     id as a varint, each later one as the varint difference to its
-//     predecessor (ids are strictly increasing, so every delta is ≥ 1);
-//     varint coefficient word count, then that many raw u64s. Varints are
-//     LEB128 (7 data bits per byte, high bit = continuation). Net ids in a
-//     monomial are near-neighbors in practice, so a term costs a couple of
-//     bytes instead of 4 per id.
-//
-// The loader accepts both versions; the writer emits only v3. Writes are
-// atomic (tmp file + rename), so a crash mid-save leaves the previous
-// checkpoint intact. Any damage — truncation, a flipped bit, a version from
-// another build, non-increasing ids — loads as kInvalidArgument; callers
-// treat that as "no checkpoint" and start fresh, never as data.
+// Writes are atomic (tmp file + rename), so a crash mid-save leaves the
+// previous checkpoint intact. Any damage — truncation, a flipped bit, a
+// version other than kCheckpointVersion, non-increasing ids — loads as
+// kInvalidArgument; callers treat that as "no checkpoint" and start fresh,
+// never as data.
 
 #include <cstddef>
 #include <cstdint>
@@ -52,11 +48,9 @@
 
 namespace gfa::worker {
 
-// Version 3: varint/delta term encoding (see the layout comment). Version 2
-// files — fixed-width ids, snapshots already barrier-paced — are still read;
-// anything older is rejected.
+// Version 3: varint/delta term encoding (see the layout comment). Files of
+// any other version are version skew: rejected, and the chain starts fresh.
 inline constexpr std::uint32_t kCheckpointVersion = 3;
-inline constexpr std::uint32_t kMinReadableCheckpointVersion = 2;
 
 /// CRC-32 (IEEE 802.3, reflected) of `n` bytes.
 std::uint32_t crc32(const void* data, std::size_t n);

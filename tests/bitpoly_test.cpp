@@ -30,9 +30,6 @@ TEST_F(BitPolyTest, MonoMulIsUnion) {
   EXPECT_EQ(bitmono_mul(BitMono{0, 2}, BitMono{1, 2}), (BitMono{0, 1, 2}));
   EXPECT_EQ(bitmono_mul(BitMono{}, BitMono{3}), (BitMono{3}));
   EXPECT_EQ(bitmono_mul(BitMono{5}, BitMono{5}), (BitMono{5}));  // x² = x
-  // The legacy tier's union agrees.
-  EXPECT_EQ(bitmono_mul(LegacyBitMono{0, 2}, LegacyBitMono{1, 2}),
-            (LegacyBitMono{0, 1, 2}));
 }
 
 TEST_F(BitPolyTest, AdditionCancels) {
@@ -127,7 +124,7 @@ TEST_F(BitPolyTest, RewriterBudget) {
   EXPECT_THROW(rw.add({y_}, field_.one()), RewriteBudgetExceeded);
 }
 
-TEST_F(BitPolyTest, GateTailPolynomials) {
+TEST_F(BitPolyTest, TailPolynomialsMatchGateSemantics) {
   Netlist nl;
   const NetId a = nl.add_input("a");
   const NetId b = nl.add_input("b");
@@ -163,36 +160,28 @@ TEST_F(BitPolyTest, GateTailPolynomials) {
   EXPECT_EQ(tail(GateType::kConst1, {}), one());
 }
 
-// Distribution regressions for BitMonoHash (the splitmix64 mixer, applied to
-// the legacy vector monomials of the kVector tier). The term maps hash
-// monomials over *consecutive* net ids — exactly the adversarial input for
-// the old xor-whole-VarId FNV loop — so the tests bucket realistic monomial
-// populations by the bits an unordered_map (or a shard selector) would
-// actually consume. The packed tier's word-level hash has the same
-// regressions in packed_mono_test.cpp.
+// ---------------------------------------------------------------------------
+// Distribution regressions for the BitPoly key hash: BitMono built the way
+// callers build it (brace lists of net ids), hashed by PackedMonoHash, the
+// functor the term maps and the polynomial facade bucket with.
+// ---------------------------------------------------------------------------
 
-/// Max bucket load over `buckets` power-of-two buckets selected by the hash
-/// bits starting at `shift`.
 template <typename Gen>
 std::size_t max_bucket_load(std::size_t n, std::size_t buckets, unsigned shift,
                             Gen mono_of) {
-  BitMonoHash hash;
+  PackedMonoHash hash;
   std::vector<std::size_t> load(buckets, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t h = hash(mono_of(i));
-    ++load[(h >> shift) & (buckets - 1)];
+    ++load[(hash(mono_of(i)) >> shift) & (buckets - 1)];
   }
-  std::size_t max = 0;
-  for (std::size_t l : load) max = std::max(max, l);
-  return max;
+  return *std::max_element(load.begin(), load.end());
 }
 
 TEST(BitMonoHashTest, ConsecutiveIdsSpreadAcrossAllHashBits) {
   // 65536 single-variable monomials over consecutive ids into 1024 buckets:
   // uniform expectation 64 per bucket; 128 allows ~8σ of slack. Checked on
-  // the low bits and on the high bits (the old hash left the top bits nearly
-  // constant for small ids).
-  const auto single = [](std::size_t i) { return LegacyBitMono{VarId(i)}; };
+  // the low bits and on the high bits.
+  const auto single = [](std::size_t i) { return BitMono{VarId(i)}; };
   EXPECT_LT(max_bucket_load(65536, 1024, 0, single), 128u);
   EXPECT_LT(max_bucket_load(65536, 1024, 54, single), 128u);
 }
@@ -201,22 +190,21 @@ TEST(BitMonoHashTest, QuadraticMonomialsSpreadAcrossAllHashBits) {
   // The {a_i, b_j} grid of a multiplier's partial products.
   const auto pair = [](std::size_t i) {
     const VarId a = VarId(i % 256), b = VarId(256 + i / 256);
-    return LegacyBitMono{a, b};
+    return BitMono{a, b};
   };
   EXPECT_LT(max_bucket_load(65536, 1024, 0, pair), 128u);
   EXPECT_LT(max_bucket_load(65536, 1024, 54, pair), 128u);
 }
 
 TEST(BitMonoHashTest, SingleBitFlipAvalanchesHalfTheOutput) {
-  // Flipping one input bit should flip ~32 output bits; the old single
-  // multiply left most high bits untouched for small ids.
-  BitMonoHash hash;
+  // Flipping one input bit should flip ~32 output bits.
+  PackedMonoHash hash;
   std::uint64_t total_flipped = 0;
   const std::size_t trials = 4096;
   for (std::size_t i = 0; i < trials; ++i) {
     const VarId v = VarId(i);
-    const std::uint64_t h1 = hash(LegacyBitMono{v});
-    const std::uint64_t h2 = hash(LegacyBitMono{VarId(v ^ 1u)});
+    const std::uint64_t h1 = hash(BitMono{v});
+    const std::uint64_t h2 = hash(BitMono{VarId(v ^ 1u)});
     total_flipped += __builtin_popcountll(h1 ^ h2);
   }
   const double avg = static_cast<double>(total_flipped) / trials;
@@ -225,10 +213,10 @@ TEST(BitMonoHashTest, SingleBitFlipAvalanchesHalfTheOutput) {
 }
 
 TEST(BitMonoHashTest, HashDependsOnEveryVariable) {
-  BitMonoHash hash;
-  EXPECT_NE(hash(LegacyBitMono{1, 2, 3}), hash(LegacyBitMono{1, 2, 4}));
-  EXPECT_NE(hash(LegacyBitMono{1, 2, 3}), hash(LegacyBitMono{0, 2, 3}));
-  EXPECT_NE(hash(LegacyBitMono{}), hash(LegacyBitMono{0}));
+  PackedMonoHash hash;
+  EXPECT_NE(hash(BitMono{1, 2, 3}), hash(BitMono{1, 2, 4}));
+  EXPECT_NE(hash(BitMono{1, 2, 3}), hash(BitMono{0, 2, 3}));
+  EXPECT_NE(hash(BitMono{}), hash(BitMono{0}));
 }
 
 }  // namespace

@@ -13,10 +13,12 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 
 #include "abstraction/extractor.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
+#include "obs/progress.h"
 #include "util/fault_inject.h"
 #include "worker/checkpoint.h"
 
@@ -45,33 +47,15 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// Serializes `cp` in the legacy v2 layout (fixed-width u32 ids, u64 word
-// counts — see checkpoint.h). The v3 writer can no longer produce these
-// bytes, so the reader's compatibility path needs its own encoder here.
-std::string v2_bytes(const ReductionCheckpoint& cp) {
-  std::string buf = "GFA_CKPT";
-  const auto u32 = [&buf](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf += static_cast<char>((v >> (8 * i)) & 0xFF);
-  };
-  const auto u64 = [&buf](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf += static_cast<char>((v >> (8 * i)) & 0xFF);
-  };
-  u32(2);  // the version this encoder speaks
-  u32(cp.k);
-  u64(cp.circuit_hash);
-  u32(static_cast<std::uint32_t>(cp.word.size()));
-  buf += cp.word;
-  u64(cp.step);
-  u64(cp.terms.size());
-  for (const auto& [mono, coeff] : cp.terms) {
-    u32(static_cast<std::uint32_t>(mono.size()));
-    for (VarId v : mono) u32(v);
-    const std::vector<std::uint64_t>& words = coeff.words();
-    u64(words.size());
-    for (std::uint64_t w : words) u64(w);
-  }
-  u32(crc32(buf.data(), buf.size()));
-  return buf;
+// Rewrites the version field (right after the 8-byte magic) of a saved
+// checkpoint and re-seals the CRC, so only the version check can object.
+std::string with_version(std::string bytes, std::uint32_t version) {
+  for (int i = 0; i < 4; ++i)
+    bytes[8 + i] = static_cast<char>((version >> (8 * i)) & 0xFF);
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+  for (int i = 0; i < 4; ++i)
+    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  return bytes;
 }
 
 ReductionCheckpoint sample_checkpoint() {
@@ -173,73 +157,29 @@ TEST(Checkpoint, VersionSkewIsRejected) {
   const std::string dir = make_temp_dir();
   const std::string path = dir + "/v.ckpt";
   ASSERT_TRUE(save_checkpoint(path, sample_checkpoint()).ok());
-  std::string bytes = read_file(path);
-  // Bump the version field (right after the 8-byte magic) and re-seal the
-  // CRC so only the version check can object.
-  bytes[8] = static_cast<char>(kCheckpointVersion + 1);
-  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
-  for (int i = 0; i < 4; ++i)
-    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  write_file(path, bytes);
+  write_file(path, with_version(read_file(path), kCheckpointVersion + 1));
   const Result<ReductionCheckpoint> r = load_checkpoint(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("version"), std::string::npos)
       << r.status().message();
-}
-
-TEST(Checkpoint, LegacyV2BytesLoadThroughTheCurrentLoader) {
-  // The current build writes only v3 but must keep reading v2: snapshots
-  // left by the previous release resume under this one. Encode the sample
-  // in the legacy layout by hand and check the loader reproduces it field
-  // for field, term for term.
-  const std::string dir = make_temp_dir();
-  const std::string path = dir + "/legacy.ckpt";
-  const ReductionCheckpoint cp = sample_checkpoint();
-  write_file(path, v2_bytes(cp));
-  const Result<ReductionCheckpoint> back = load_checkpoint(path);
-  ASSERT_TRUE(back.ok()) << back.status().to_string();
-  EXPECT_EQ(back->k, cp.k);
-  EXPECT_EQ(back->circuit_hash, cp.circuit_hash);
-  EXPECT_EQ(back->word, cp.word);
-  EXPECT_EQ(back->step, cp.step);
-  ASSERT_EQ(back->terms.size(), cp.terms.size());
-  for (std::size_t i = 0; i < cp.terms.size(); ++i) {
-    EXPECT_EQ(back->terms[i].first, cp.terms[i].first);
-    EXPECT_EQ(back->terms[i].second, cp.terms[i].second);
-  }
-}
-
-TEST(Checkpoint, TruncatedV2FileIsRejected) {
-  // The compatibility path validates as strictly as the native one.
-  const std::string dir = make_temp_dir();
-  const std::string path = dir + "/legacy_t.ckpt";
-  const std::string bytes = v2_bytes(sample_checkpoint());
-  for (const std::size_t keep :
-       {std::size_t{10}, bytes.size() / 2, bytes.size() - 2}) {
-    write_file(path, bytes.substr(0, keep));
-    const Result<ReductionCheckpoint> r = load_checkpoint(path);
-    ASSERT_FALSE(r.ok()) << "kept " << keep << " of " << bytes.size();
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  }
 }
 
 TEST(Checkpoint, PreVersion2IsRejected) {
-  // kMinReadableCheckpointVersion = 2: a v1 file (or any earlier layout) is
-  // version skew, not a parse attempt.
+  // Only kCheckpointVersion is read: a v1 or v2 file (any earlier layout)
+  // is version skew, not a parse attempt, so the chain starts fresh.
   const std::string dir = make_temp_dir();
-  const std::string path = dir + "/v1.ckpt";
-  std::string bytes = v2_bytes(sample_checkpoint());
-  bytes[8] = 1;
-  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
-  for (int i = 0; i < 4; ++i)
-    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  write_file(path, bytes);
-  const Result<ReductionCheckpoint> r = load_checkpoint(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("version"), std::string::npos)
-      << r.status().message();
+  const std::string path = dir + "/old.ckpt";
+  ASSERT_TRUE(save_checkpoint(path, sample_checkpoint()).ok());
+  const std::string bytes = read_file(path);
+  for (const std::uint32_t version : {1u, 2u}) {
+    write_file(path, with_version(bytes, version));
+    const Result<ReductionCheckpoint> r = load_checkpoint(path);
+    ASSERT_FALSE(r.ok()) << "v" << version;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("version skew"), std::string::npos)
+        << r.status().message();
+  }
 }
 
 TEST(Checkpoint, InjectedCorruptionIsCaughtOnLoad) {
@@ -259,8 +199,6 @@ TEST(Checkpoint, InjectedCorruptionIsCaughtOnLoad) {
 // Extractor integration: interrupt, resume, compare against a fresh run.
 
 TEST(CheckpointResume, ResumedK64ExtractionMatchesTheFreshPolynomial) {
-  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
-  Disarmer disarm;
   const Gf2k field = Gf2k::make(64);
   const Netlist nl = make_mastrovito_multiplier(field);
 
@@ -271,23 +209,31 @@ TEST(CheckpointResume, ResumedK64ExtractionMatchesTheFreshPolynomial) {
   ExtractionCheckpoint ck;
   ck.directory = dir;
   ck.interval = 500;
-  ExecControl control;  // non-null so the cancel fault point is polled
+  ExecControl control;
   ExtractionOptions options;
   options.control = &control;
   options.checkpoint = &ck;
 
-  // Kill the chain partway through: the cancel unwinds cleanly and leaves
-  // the last periodic checkpoint behind.
-  ASSERT_TRUE(fault::arm("cancel:checkpoint", 2000).ok());
+  // Kill the chain partway through, at a chain step: once a progress report
+  // passes step 1000, cancel. Steps are counted in RATO gates, so the cut
+  // lands after the same saves at every pool width (a poll count would not:
+  // S chain shards poll about S times as often per gate). The cancel
+  // unwinds cleanly and leaves the last periodic checkpoint behind.
+  obs::set_progress_sink([&control](const obs::Progress& p) {
+    if (std::string_view(p.phase) == "reduction_chain" && p.step > 1000)
+      control.cancel.request_cancel();
+  });
   const Result<WordFunction> interrupted =
       try_extract_word_function(nl, field, options);
+  obs::set_progress_sink(nullptr);
   ASSERT_FALSE(interrupted.ok());
   EXPECT_EQ(interrupted.status().code(), StatusCode::kCancelled);
   const std::string path =
       checkpoint_path(dir, netlist_content_hash(nl), "Z");
   EXPECT_TRUE(load_checkpoint(path).ok())
       << "no checkpoint survived the interruption";
-  fault::disarm();
+
+  control.cancel = CancelToken();  // a fresh, unfired token for the resume
 
   ck.resume = true;
   const Result<WordFunction> resumed =
@@ -299,58 +245,6 @@ TEST(CheckpointResume, ResumedK64ExtractionMatchesTheFreshPolynomial) {
   EXPECT_EQ(resumed->g.to_string(resumed->pool), fresh_poly);
   // A finished run cleans up after itself.
   EXPECT_FALSE(load_checkpoint(path).ok());
-}
-
-TEST(CheckpointResume, CommittedV2FixtureResumesBitIdentically) {
-  // tests/data/mastrovito_k64_step1200.v2.ckpt is a frozen v2-format
-  // snapshot of the k=64 Mastrovito reduction chain at step 1200, committed
-  // so the v2→v3 upgrade path is pinned against real bytes, not bytes this
-  // build generated for itself. Resuming from it must reproduce the fresh
-  // extraction's canonical polynomial bit for bit.
-#ifndef GFA_TEST_DATA_DIR
-  GTEST_SKIP() << "GFA_TEST_DATA_DIR is not defined";
-#else
-  const std::string fixture =
-      std::string(GFA_TEST_DATA_DIR) + "/mastrovito_k64_step1200.v2.ckpt";
-  const std::string bytes = read_file(fixture);
-  ASSERT_FALSE(bytes.empty()) << "missing fixture " << fixture;
-  ASSERT_EQ(bytes.compare(0, 8, "GFA_CKPT"), 0);
-  EXPECT_EQ(bytes[8], 2) << "fixture is no longer v2-format";
-
-  const Gf2k field = Gf2k::make(64);
-  const Netlist nl = make_mastrovito_multiplier(field);
-  const std::uint64_t hash = netlist_content_hash(nl);
-
-  // Guard against a stale fixture: its state is only sound for the netlist
-  // whose content hash it recorded. If circuit construction ever changes,
-  // this assertion says "regenerate the fixture", not "resume is broken".
-  const std::string dir = make_temp_dir();
-  const std::string path = checkpoint_path(dir, hash, "Z");
-  write_file(path, bytes);
-  const Result<ReductionCheckpoint> loaded = load_checkpoint(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  ASSERT_EQ(loaded->circuit_hash, hash)
-      << "fixture was generated from a different k=64 Mastrovito netlist";
-  EXPECT_EQ(loaded->k, 64u);
-  EXPECT_EQ(loaded->word, "Z");
-  EXPECT_EQ(loaded->step, 1200u);
-
-  ExtractionCheckpoint ck;
-  ck.directory = dir;
-  ck.resume = true;
-  ExtractionOptions options;
-  options.checkpoint = &ck;
-  const Result<WordFunction> resumed =
-      try_extract_word_function(nl, field, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
-  EXPECT_TRUE(resumed->stats.resumed);
-
-  const WordFunction fresh = extract_word_function(nl, field);
-  // The fixture's 1200-step prefix was skipped, not replayed.
-  EXPECT_LT(resumed->stats.substitutions, fresh.stats.substitutions);
-  EXPECT_EQ(resumed->g, fresh.g);
-  EXPECT_EQ(resumed->g.to_string(resumed->pool), fresh.g.to_string(fresh.pool));
-#endif
 }
 
 TEST(CheckpointResume, MismatchedCheckpointFallsBackToAFreshStart) {

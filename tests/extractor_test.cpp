@@ -86,7 +86,7 @@ TEST_P(ExtractorVsOracle, MontgomeryFlatIsAB) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ExtractorVsOracle,
-                         ::testing::Values(2, 3, 4, 5, 8, 11, 16, 24, 32));
+                         ::testing::Values(2, 3, 4, 5, 8, 11, 16, 24, 32, 64));
 
 TEST(Extractor, RandomCircuitsMatchInterpolationOracle) {
   // The extracted polynomial must equal the exhaustive Lagrange interpolation

@@ -337,12 +337,12 @@ TEST_F(ObsTest, ShardedSubstitutionRecordsOneSpanPerShard) {
   constexpr VarId kV = 0;
   constexpr std::size_t kPending = 200;
   std::vector<bool> substitutable(kPending + 3, true);
-  BasicBackwardRewriter<BitMono> rw(field, substitutable);
+  BackwardRewriter rw(field, substitutable);
   for (VarId i = 1; i <= kPending; ++i) {
     const VarId ids[2] = {kV, i};
     rw.add(BitMono::from_sorted(ids, 2), field.one());
   }
-  FlatTail<BitMono> tail;
+  FlatTail tail;
   const VarId t0 = kPending + 1, t1 = kPending + 2;
   tail.monos.push_back(BitMono::from_sorted(&t0, 1));
   tail.monos.push_back(BitMono::from_sorted(&t1, 1));
