@@ -133,7 +133,7 @@ bool same_word_function(const WordFunction& f1, const WordFunction& f2,
 EquivalenceResult check_equivalence(const Netlist& spec, const Netlist& impl,
                                     const Gf2k& field,
                                     const ExtractionOptions& options) {
-  // Build the O(k³) Frobenius basis change once for both circuits, then
+  // Build the O(k²) Frobenius basis change once for both circuits, then
   // abstract spec and impl one after the other. Each extraction parallelizes
   // internally at full pool width (sharded reduction chain, lift
   // transforms); running the two concurrently instead would serialize all of

@@ -271,7 +271,7 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
     result.g = MPoly::constant(&field, r.coeff(BitMono{}));
   } else if (options.shared_lift != nullptr) {
     if (options.basis != nullptr &&
-        options.shared_lift->basis() != *options.basis)
+        !options.shared_lift->has_basis(options.basis))
       throw std::invalid_argument("shared_lift built for a different basis");
     result.g = options.shared_lift->lift(r, bindings, result.pool,
                                          options.control);

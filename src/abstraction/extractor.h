@@ -57,7 +57,7 @@ struct ExtractionOptions {
   /// (0 = unlimited). Tripping raises ExtractionBudgetExceeded.
   std::size_t max_terms = 0;
   /// Reuse a precomputed Frobenius basis-change (see word_lift.h). Building
-  /// it is O(k³) field operations, so callers abstracting several circuits
+  /// it is O(k²) field operations, so callers abstracting several circuits
   /// over one field (the hierarchical flow, the benches) share one. Must have
   /// been built for the same word basis as `basis` below.
   const WordLift* shared_lift = nullptr;

@@ -56,6 +56,13 @@ class Netlist {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
+  /// Capacity for `nets` nets, so building a netlist of known size does not
+  /// regrow its tables.
+  void reserve(std::size_t nets) {
+    gates_.reserve(nets);
+    by_name_.reserve(nets);
+  }
+
   /// Creates a primary input net.
   NetId add_input(std::string_view name);
 

@@ -1,5 +1,6 @@
 #include "circuit/parser.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -9,36 +10,54 @@ namespace gfa {
 
 namespace {
 
-std::vector<std::string> tokenize(std::string_view line) {
-  std::vector<std::string> toks;
-  std::string cur;
-  for (char c : line) {
-    if (c == '#') break;
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!cur.empty()) toks.push_back(std::move(cur)), cur.clear();
-    } else {
-      cur += c;
+/// Splits `line` at spaces, tabs and carriage returns, stopping at a '#'
+/// comment. The tokens view `line`; `toks` is reused across lines.
+void tokenize(std::string_view line, std::vector<std::string_view>& toks) {
+  toks.clear();
+  line = line.substr(0, line.find('#'));
+  const auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
+  std::size_t i = 0;
+  while (i < line.size()) {
+    if (blank(line[i])) {
+      ++i;
+      continue;
     }
+    std::size_t j = i;
+    while (j < line.size() && !blank(line[j])) ++j;
+    toks.push_back(line.substr(i, j - i));
+    i = j;
   }
-  if (!cur.empty()) toks.push_back(std::move(cur));
-  return toks;
 }
 
 struct GateDecl {
   GateType type;
-  std::vector<std::string> fanins;
   std::size_t line;
+  std::size_t first_fanin;  // into the parse's shared fanin list
+  std::size_t num_fanins;
+  NetId id = kNoNet;        // set once emitted
+  bool visiting = false;    // on the DFS stack
 };
 
 }  // namespace
 
 Netlist parse_netlist(std::string_view text) {
-  std::unordered_map<std::string, GateDecl> decls;  // net name -> definition
-  std::vector<std::string> decl_order;
-  std::vector<std::pair<std::string, std::size_t>> output_names;
-  std::vector<std::pair<std::string, std::vector<std::string>>> word_decls;
-  std::string module_name = "top";
+  // Names are views into `text`, which outlives the parse.
+  const std::size_t lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+  using Decls = std::unordered_map<std::string_view, GateDecl>;
+  Decls decls;  // net name -> definition
+  decls.reserve(lines);
+  std::vector<Decls::value_type*> decl_order;
+  decl_order.reserve(lines);
+  // Every gate's fanin names, concatenated (GateDecl::first_fanin indexes it).
+  std::vector<std::string_view> fanin_names;
+  fanin_names.reserve(2 * lines);
+  std::vector<std::pair<std::string_view, std::size_t>> output_names;
+  std::vector<std::pair<std::string_view, std::vector<std::string_view>>>
+      word_decls;
+  std::string_view module_name = "top";
 
+  std::vector<std::string_view> toks;
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -47,15 +66,16 @@ Netlist parse_netlist(std::string_view text) {
         text.substr(pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
     pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
     ++line_no;
-    const std::vector<std::string> toks = tokenize(line);
+    tokenize(line, toks);
     if (toks.empty()) continue;
-    const std::string& kw = toks[0];
+    const std::string_view kw = toks[0];
 
-    auto declare = [&](const std::string& name, GateDecl decl) {
-      if (decls.count(name))
-        throw ParseError(line_no, "net '" + name + "' defined twice");
-      decls.emplace(name, std::move(decl));
-      decl_order.push_back(name);
+    auto declare = [&](std::string_view name, GateDecl decl) {
+      const auto [it, fresh] = decls.try_emplace(name, decl);
+      if (!fresh)
+        throw ParseError(line_no,
+                         "net '" + std::string(name) + "' defined twice");
+      decl_order.push_back(&*it);
     };
 
     if (kw == "module") {
@@ -65,7 +85,7 @@ Netlist parse_netlist(std::string_view text) {
       // no-op; single-module format
     } else if (kw == "input") {
       for (std::size_t i = 1; i < toks.size(); ++i)
-        declare(toks[i], GateDecl{GateType::kInput, {}, line_no});
+        declare(toks[i], GateDecl{GateType::kInput, line_no, 0, 0});
     } else if (kw == "output") {
       if (toks.size() < 2) throw ParseError(line_no, "output expects net names");
       for (std::size_t i = 1; i < toks.size(); ++i)
@@ -74,7 +94,7 @@ Netlist parse_netlist(std::string_view text) {
       if (toks.size() < 3)
         throw ParseError(line_no, "word expects a name and at least one bit");
       word_decls.emplace_back(
-          toks[1], std::vector<std::string>(toks.begin() + 2, toks.end()));
+          toks[1], std::vector<std::string_view>(toks.begin() + 2, toks.end()));
     } else if (auto type = gate_type_from_name(kw)) {
       if (*type == GateType::kInput)
         throw ParseError(line_no, "use the 'input' directive for inputs");
@@ -88,11 +108,10 @@ Netlist parse_netlist(std::string_view text) {
         throw ParseError(line_no, std::string(kw) + " takes exactly one fanin");
       if (!source && !unary && arity < 2)
         throw ParseError(line_no, std::string(kw) + " takes at least two fanins");
-      declare(toks[1], GateDecl{*type,
-                                std::vector<std::string>(toks.begin() + 2, toks.end()),
-                                line_no});
+      declare(toks[1], GateDecl{*type, line_no, fanin_names.size(), arity});
+      fanin_names.insert(fanin_names.end(), toks.begin() + 2, toks.end());
     } else {
-      throw ParseError(line_no, "unknown directive '" + kw + "'");
+      throw ParseError(line_no, "unknown directive '" + std::string(kw) + "'");
     }
   }
 
@@ -100,58 +119,64 @@ Netlist parse_netlist(std::string_view text) {
   // explicit work stack rather than recursion: a pathological but legal
   // input — say a 100k-deep buf chain — must not overflow the call stack
   // (found by tools/fuzz_parser).
-  Netlist netlist(module_name);
-  std::unordered_map<std::string, NetId> emitted;
-  std::unordered_map<std::string, char> visiting;  // 1 = on the DFS stack
+  Netlist netlist{std::string(module_name)};
+  netlist.reserve(decl_order.size());
+  // The declaration each fanin name resolves to, filled in by the DFS.
+  std::vector<const GateDecl*> fanin_decls(fanin_names.size());
   struct Frame {
-    const std::string* name;
-    const GateDecl* decl;
+    Decls::value_type* entry;
     std::size_t next_fanin = 0;
   };
   std::vector<Frame> stack;
-  auto open = [&](const std::string& name) {
-    if (emitted.count(name)) return;
-    auto dit = decls.find(name);
-    if (dit == decls.end())
-      throw ParseError(0, "net '" + name + "' used but never defined");
-    if (visiting[name])
-      throw ParseError(dit->second.line,
-                       "combinational cycle through '" + name + "'");
-    visiting[name] = 1;
-    stack.push_back({&dit->first, &dit->second});
+  auto open = [&](Decls::value_type& entry) {
+    GateDecl& d = entry.second;
+    if (d.id != kNoNet) return;
+    if (d.visiting)
+      throw ParseError(d.line, "combinational cycle through '" +
+                                   std::string(entry.first) + "'");
+    d.visiting = true;
+    stack.push_back({&entry});
   };
-  for (const std::string& root : decl_order) {
-    open(root);
+  std::vector<NetId> fanins;
+  for (Decls::value_type* root : decl_order) {
+    open(*root);
     while (!stack.empty()) {
       Frame& f = stack.back();
-      if (f.next_fanin < f.decl->fanins.size()) {
-        open(f.decl->fanins[f.next_fanin++]);
+      GateDecl& d = f.entry->second;
+      if (f.next_fanin < d.num_fanins) {
+        const std::size_t slot = d.first_fanin + f.next_fanin++;
+        const auto dit = decls.find(fanin_names[slot]);
+        if (dit == decls.end())
+          throw ParseError(0, "net '" + std::string(fanin_names[slot]) +
+                                  "' used but never defined");
+        fanin_decls[slot] = &dit->second;
+        open(*dit);
         continue;
       }
-      std::vector<NetId> fanins;
-      fanins.reserve(f.decl->fanins.size());
-      for (const std::string& fn : f.decl->fanins)
-        fanins.push_back(emitted.at(fn));
-      const NetId id = f.decl->type == GateType::kInput
-                           ? netlist.add_input(*f.name)
-                           : netlist.add_gate(f.decl->type, fanins, *f.name);
-      emitted.emplace(*f.name, id);
-      visiting[*f.name] = 0;
+      fanins.clear();
+      for (std::size_t i = 0; i < d.num_fanins; ++i)
+        fanins.push_back(fanin_decls[d.first_fanin + i]->id);
+      d.id = d.type == GateType::kInput
+                 ? netlist.add_input(f.entry->first)
+                 : netlist.add_gate(d.type, fanins, f.entry->first);
+      d.visiting = false;
       stack.pop_back();
     }
   }
 
   for (const auto& [name, line] : output_names) {
     const NetId n = netlist.find_net(name);
-    if (n == kNoNet) throw ParseError(line, "output net '" + name + "' undefined");
+    if (n == kNoNet)
+      throw ParseError(line, "output net '" + std::string(name) + "' undefined");
     netlist.mark_output(n);
   }
   for (const auto& [name, bit_names] : word_decls) {
     std::vector<NetId> bits;
     bits.reserve(bit_names.size());
-    for (const std::string& b : bit_names) {
+    for (std::string_view b : bit_names) {
       const NetId n = netlist.find_net(b);
-      if (n == kNoNet) throw ParseError(0, "word bit '" + b + "' undefined");
+      if (n == kNoNet)
+        throw ParseError(0, "word bit '" + std::string(b) + "' undefined");
       bits.push_back(n);
     }
     netlist.declare_word(name, std::move(bits));

@@ -46,6 +46,8 @@ class Gf2k {
 
   /// Which fast-arithmetic tier serves this field (see gf/gf2k_kernels.h).
   KernelTier kernel_tier() const { return kernels_->tier(); }
+  /// The kernels themselves, for callers working on flat element words.
+  const Gf2kKernels& kernels() const { return *kernels_; }
 
   /// Field order as a BigUint: q = 2^k.
   BigUint order() const { return BigUint::pow2(k_); }

@@ -1,5 +1,6 @@
 #include "gf/gf2k_kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -41,6 +42,77 @@ inline void clmul64(std::uint64_t a, std::uint64_t b, std::uint64_t& lo,
     lo ^= i ? (a << i) : a;
     if (i) hi ^= a >> (64 - i);
   }
+#endif
+}
+
+/// acc ^= a·b for multi-word operands (na and nb words), carry-less and
+/// unreduced; acc needs na + nb words.
+inline void clmul_acc(const std::uint64_t* a, std::size_t na,
+                      const std::uint64_t* b, std::size_t nb,
+                      std::uint64_t* acc) {
+  for (std::size_t i = 0; i < na; ++i) {
+    if (a[i] == 0) continue;
+    for (std::size_t j = 0; j < nb; ++j) {
+      std::uint64_t lo, hi;
+      clmul64(a[i], b[j], lo, hi);
+      acc[i + j] ^= lo;
+      acc[i + j + 1] ^= hi;
+    }
+  }
+}
+
+/// acc ^= Σ_{n < len} a_n·b_n for W-word operands at the given strides. The
+/// partial products land on 2W-1 diagonals (word offset i + j) that stay in
+/// registers until the end (W <= 9 covers k <= 576).
+template <std::size_t W>
+void dot_fixed(const std::uint64_t* a, std::size_t a_stride,
+               const std::uint64_t* b, std::size_t b_stride, std::size_t len,
+               std::uint64_t* acc) {
+#if GFA_HAVE_PCLMUL
+  // Karatsuba per word pair: x_i·y_j + x_j·y_i = (x_i + x_j)(y_i + y_j) +
+  // x_i·y_i + x_j·y_j, so a term costs W(W+1)/2 multiplies instead of W².
+  // The x_i·y_i sums are kept apart and added back to the diagonals once.
+  __m128i diag[2 * W - 1], self[W];
+  for (__m128i& d : diag) d = _mm_setzero_si128();
+  for (__m128i& d : self) d = _mm_setzero_si128();
+  for (std::size_t n = 0; n < len; ++n, a += a_stride, b += b_stride) {
+    __m128i x[W], y[W];
+    for (std::size_t i = 0; i < W; ++i) {
+      x[i] = _mm_cvtsi64_si128(static_cast<long long>(a[i]));
+      y[i] = _mm_cvtsi64_si128(static_cast<long long>(b[i]));
+      self[i] = _mm_xor_si128(self[i], _mm_clmulepi64_si128(x[i], y[i], 0x00));
+    }
+    for (std::size_t i = 0; i < W; ++i)
+      for (std::size_t j = i + 1; j < W; ++j)
+        diag[i + j] = _mm_xor_si128(
+            diag[i + j],
+            _mm_clmulepi64_si128(_mm_xor_si128(x[i], x[j]),
+                                 _mm_xor_si128(y[i], y[j]), 0x00));
+  }
+  for (std::size_t i = 0; i < W; ++i) {
+    diag[2 * i] = _mm_xor_si128(diag[2 * i], self[i]);
+    for (std::size_t j = i + 1; j < W; ++j)
+      diag[i + j] =
+          _mm_xor_si128(diag[i + j], _mm_xor_si128(self[i], self[j]));
+  }
+  for (std::size_t d = 0; d < 2 * W - 1; ++d) {
+    acc[d] ^= static_cast<std::uint64_t>(_mm_cvtsi128_si64(diag[d]));
+    acc[d + 1] ^= static_cast<std::uint64_t>(
+        _mm_cvtsi128_si64(_mm_unpackhi_epi64(diag[d], diag[d])));
+  }
+#else
+  std::uint64_t sum[2 * W] = {};
+  for (std::size_t n = 0; n < len; ++n, a += a_stride, b += b_stride) {
+    for (std::size_t i = 0; i < W; ++i) {
+      for (std::size_t j = 0; j < W; ++j) {
+        std::uint64_t lo, hi;
+        clmul64(a[i], b[j], lo, hi);
+        sum[i + j] ^= lo;
+        sum[i + j + 1] ^= hi;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < 2 * W; ++i) acc[i] ^= sum[i];
 #endif
 }
 
@@ -246,45 +318,16 @@ Gf2Poly Gf2kKernels::mul_sparse(const Gf2Poly& a, const Gf2Poly& b) const {
   std::uint64_t buf[kScratchWords] = {0};
   const std::size_t nw = aw.size() + bw.size() + 1;
   assert(nw <= kScratchWords);
-#if GFA_HAVE_PCLMUL
-  for (std::size_t i = 0; i < aw.size(); ++i) {
-    if (aw[i] == 0) continue;
-    for (std::size_t j = 0; j < bw.size(); ++j) {
-      std::uint64_t lo, hi;
-      clmul64(aw[i], bw[j], lo, hi);
-      buf[i + j] ^= lo;
-      buf[i + j + 1] ^= hi;
-    }
-  }
-#else
-  for (std::size_t i = 0; i < aw.size(); ++i) {
-    std::uint64_t ai = aw[i];
-    while (ai != 0) {
-      const unsigned bit = static_cast<unsigned>(std::countr_zero(ai));
-      ai &= ai - 1;
-      for (std::size_t j = 0; j < bw.size(); ++j) {
-        const std::uint64_t w = bw[j];
-        buf[i + j] ^= bit ? (w << bit) : w;
-        if (bit) buf[i + j + 1] ^= w >> (64 - bit);
-      }
-    }
-  }
-#endif
+  clmul_acc(aw.data(), aw.size(), bw.data(), bw.size(), buf);
   fold_in_place(buf, nw);
   return Gf2Poly::from_words(buf, elem_words_);
 }
 
 Gf2Poly Gf2kKernels::square_sparse(const Gf2Poly& a) const {
   if (a.is_zero()) return {};
-  const std::vector<std::uint64_t>& aw = a.words();
-  std::uint64_t buf[kScratchWords] = {0};
-  const std::size_t nw = 2 * aw.size() + 1;
-  assert(nw <= kScratchWords);
-  for (std::size_t i = 0; i < aw.size(); ++i) {
-    buf[2 * i] = spread32(static_cast<std::uint32_t>(aw[i]));
-    buf[2 * i + 1] = spread32(static_cast<std::uint32_t>(aw[i] >> 32));
-  }
-  fold_in_place(buf, nw);
+  std::uint64_t buf[kMaxElemWords] = {0};
+  std::copy(a.words().begin(), a.words().end(), buf);
+  square_words(buf, buf);
   return Gf2Poly::from_words(buf, elem_words_);
 }
 
@@ -351,6 +394,68 @@ Gf2Poly Gf2kKernels::alpha_pow(std::uint64_t e) const {
     if ((e >> i) & 1) result = mul(result, base);
   }
   return result;
+}
+
+void Gf2kKernels::mul_acc(const std::uint64_t* a, const std::uint64_t* b,
+                          std::uint64_t* acc) const {
+  clmul_acc(a, elem_words_, b, elem_words_, acc);
+}
+
+void Gf2kKernels::dot_acc(const std::uint64_t* a, std::size_t a_stride,
+                          const std::uint64_t* b, std::size_t b_stride,
+                          std::size_t len, std::uint64_t* acc) const {
+  switch (elem_words_) {
+    case 1: return dot_fixed<1>(a, a_stride, b, b_stride, len, acc);
+    case 2: return dot_fixed<2>(a, a_stride, b, b_stride, len, acc);
+    case 3: return dot_fixed<3>(a, a_stride, b, b_stride, len, acc);
+    case 4: return dot_fixed<4>(a, a_stride, b, b_stride, len, acc);
+    case 5: return dot_fixed<5>(a, a_stride, b, b_stride, len, acc);
+    case 6: return dot_fixed<6>(a, a_stride, b, b_stride, len, acc);
+    case 7: return dot_fixed<7>(a, a_stride, b, b_stride, len, acc);
+    case 8: return dot_fixed<8>(a, a_stride, b, b_stride, len, acc);
+    case 9: return dot_fixed<9>(a, a_stride, b, b_stride, len, acc);
+    default:
+      for (std::size_t n = 0; n < len; ++n)
+        clmul_acc(a + n * a_stride, elem_words_, b + n * b_stride,
+                  elem_words_, acc);
+  }
+}
+
+void Gf2kKernels::reduce_acc(std::uint64_t* acc, std::uint64_t* out) const {
+  if (elem_words_ == 1) {  // the table and single-word tiers
+    out[0] = reduce_u128(acc[0], acc[1]);
+    return;
+  }
+  if (tier_ == KernelTier::kSparseMod) {
+    fold_in_place(acc, acc_words());
+    std::copy(acc, acc + elem_words_, out);
+    return;
+  }
+  const Gf2Poly r = Gf2Poly::from_words(acc, acc_words()).mod(modulus_);
+  std::fill(out, out + elem_words_, 0);
+  std::copy(r.words().begin(), r.words().end(), out);
+}
+
+void Gf2kKernels::square_words(const std::uint64_t* a,
+                               std::uint64_t* out) const {
+  if (elem_words_ == 1) {
+    out[0] = square_u64(a[0]);
+    return;
+  }
+  if (tier_ == KernelTier::kSparseMod) {
+    std::uint64_t buf[kScratchWords];
+    for (std::size_t i = 0; i < elem_words_; ++i) {
+      buf[2 * i] = spread32(static_cast<std::uint32_t>(a[i]));
+      buf[2 * i + 1] = spread32(static_cast<std::uint32_t>(a[i] >> 32));
+    }
+    fold_in_place(buf, acc_words());
+    std::copy(buf, buf + elem_words_, out);
+    return;
+  }
+  const Gf2Poly r =
+      Gf2Poly::from_words(a, elem_words_).squared().mod(modulus_);
+  std::fill(out, out + elem_words_, 0);
+  std::copy(r.words().begin(), r.words().end(), out);
 }
 
 }  // namespace gfa

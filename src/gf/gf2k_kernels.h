@@ -2,8 +2,8 @@
 // Tiered fast-arithmetic kernels behind Gf2k (see gf/gf2k.h).
 //
 // Every coefficient operation of the abstraction engine — the RATO
-// substitution chain, the O(k³) Frobenius basis-change transforms of the word
-// lift, the Gauss–Jordan inversion — bottoms out in F_{2^k} multiplication.
+// substitution chain, the trace-dual basis change and the Cᵀ·Q·C transforms
+// of the word lift — bottoms out in F_{2^k} multiplication.
 // The generic path (schoolbook carry-less multiply followed by long division
 // in Gf2Poly) allocates on every step; at the NIST sizes that is millions of
 // heap round-trips on the critical path. This module replaces it with three
@@ -21,6 +21,12 @@
 //                         exponents t_i of the (trinomial/pentanomial)
 //                         modulus. No per-step allocation, no long division.
 //   kGeneric    fallback  dense or oversized moduli: Gf2Poly mul + mod.
+//
+// Besides the Gf2Poly operations, every tier serves word-pointer entry points
+// over flat element arrays (elem_words() little-endian words per element):
+// the word lift keeps its matrices that way and evaluates each matrix-product
+// entry as a dot product that accumulates unreduced carry-less products and
+// folds once, so a length-n dot product costs n multiplies but one reduction.
 //
 // All kernels are pure w.r.t. the object state after construction, so one
 // Gf2kKernels may be shared by any number of threads (the scratch buffers are
@@ -56,6 +62,24 @@ class Gf2kKernels {
   /// α^e for the residue α of x.
   Gf2Poly alpha_pow(std::uint64_t e) const;
 
+  /// Words per flat element, ceil(k / 64); bit i of word j is the
+  /// coefficient of α^(64j+i). Flat operands must be canonical.
+  std::size_t elem_words() const { return elem_words_; }
+  /// Words of an unreduced dot-product accumulator, 2·elem_words().
+  std::size_t acc_words() const { return 2 * elem_words_; }
+  /// acc ^= a·b, carry-less and unreduced.
+  void mul_acc(const std::uint64_t* a, const std::uint64_t* b,
+               std::uint64_t* acc) const;
+  /// acc ^= Σ_{n < len} a[n·a_stride]·b[n·b_stride], unreduced; the strides
+  /// count words, so a matrix column is a stride of one row.
+  void dot_acc(const std::uint64_t* a, std::size_t a_stride,
+               const std::uint64_t* b, std::size_t b_stride, std::size_t len,
+               std::uint64_t* acc) const;
+  /// out = acc mod P (elem_words() words); clobbers acc.
+  void reduce_acc(std::uint64_t* acc, std::uint64_t* out) const;
+  /// out = a² (elem_words() words); out may alias a.
+  void square_words(const std::uint64_t* a, std::uint64_t* out) const;
+
  private:
   // Single-word helpers (shared by the table builder).
   std::uint64_t mul_u64(std::uint64_t a, std::uint64_t b) const;
@@ -75,7 +99,7 @@ class Gf2kKernels {
   /// Exponents of the modulus strictly below k, descending (the tail T in
   /// P = x^k + T): folding one overflow word is one shift-XOR per entry.
   std::vector<unsigned> tails_;
-  std::size_t elem_words_ = 0;  // ceil(k / 64), kSparseMod only
+  std::size_t elem_words_ = 0;  // ceil(k / 64)
 
   // kTable state: N = 2^k - 1; antilog_[i] = g^i for a fixed generator g,
   // doubled to 2N entries so sums of two logs index without a modulo;

@@ -41,6 +41,14 @@ constexpr KnownMetric kKnownMetrics[] = {
     {"extract.words", MetricKind::kCounter},
     {"extract.substitutions", MetricKind::kCounter},
     {"extract.peak_terms", MetricKind::kGauge},
+    // Case-2 lift (abstraction/word_lift.cpp): word pairs whose k×k matrix
+    // went through Cᵀ·Q·C, length-k dot products and the reductions that
+    // fold them (one per dot product: the products accumulate unreduced),
+    // and remainder terms expanded by the general (non-bilinear) path.
+    {"lift.q_pairs", MetricKind::kCounter},
+    {"lift.dot_products", MetricKind::kCounter},
+    {"lift.reductions", MetricKind::kCounter},
+    {"lift.general_terms", MetricKind::kCounter},
     // Chunked substitution (abstraction/rewriter.cpp): shards dispatched and
     // terms XOR-merged back from shard-local maps.
     {"rewriter.shards", MetricKind::kCounter},

@@ -1,6 +1,6 @@
 #pragma once
 // Minimal shared thread pool for the embarrassingly parallel loops of the
-// abstraction pipeline (the O(k³) basis-change transforms of the word lift,
+// abstraction pipeline (the Cᵀ·Q·C transforms of the word lift,
 // per-output-word extraction, concurrent spec/impl abstraction).
 //
 // Semantics:

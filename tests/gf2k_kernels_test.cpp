@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -91,6 +92,81 @@ TEST_P(KernelDifferential, MulHandlesNonCanonicalOperands) {
 INSTANTIATE_TEST_SUITE_P(Sizes, KernelDifferential,
                          ::testing::Values(4u, 8u, 16u, 17u, 32u, 63u, 64u,
                                            65u, 163u, 233u, 571u));
+
+/// Element words padded to the kernels' flat width.
+std::vector<std::uint64_t> flat(const Gf2Poly& p, std::size_t w) {
+  std::vector<std::uint64_t> out(w, 0);
+  std::copy(p.words().begin(), p.words().end(), out.begin());
+  return out;
+}
+
+/// The word-pointer entry points against Gf2k::mul/square: single products,
+/// squares, and length-k strided dot products reduced once.
+void expect_flat_kernels_match(const Gf2k& field) {
+  const Gf2kKernels& kern = field.kernels();
+  const unsigned k = field.k();
+  const std::size_t w = kern.elem_words();
+  ASSERT_EQ(w, (k + 63) / 64);
+  ASSERT_EQ(kern.acc_words(), 2 * w);
+  std::uint64_t state = 0xF1A7 ^ k;
+  std::vector<std::uint64_t> acc(kern.acc_words()), out(w);
+  for (int round = 0; round < 20; ++round) {
+    const Gf2Poly a = pseudo_elem(k, state), b = pseudo_elem(k, state);
+    std::fill(acc.begin(), acc.end(), 0);
+    kern.mul_acc(flat(a, w).data(), flat(b, w).data(), acc.data());
+    kern.reduce_acc(acc.data(), out.data());
+    ASSERT_EQ(Gf2Poly::from_words(out.data(), w), field.mul(a, b))
+        << "mul_acc at k=" << k << " round " << round;
+    kern.square_words(flat(a, w).data(), out.data());
+    ASSERT_EQ(Gf2Poly::from_words(out.data(), w), field.square(a))
+        << "square_words at k=" << k << " round " << round;
+  }
+  // a is laid out with a stride of two elements, b with one: the strides of
+  // a matrix row and column are both exercised by the word lift.
+  std::vector<std::uint64_t> as(2 * k * w, 0), bs(k * w, 0);
+  for (int round = 0; round < 3; ++round) {
+    Gf2Poly expect;
+    for (unsigned n = 0; n < k; ++n) {
+      const Gf2Poly a = pseudo_elem(k, state), b = pseudo_elem(k, state);
+      std::copy_n(flat(a, w).begin(), w, as.begin() + 2 * n * w);
+      std::copy_n(flat(b, w).begin(), w, bs.begin() + n * w);
+      expect += field.mul(a, b);
+    }
+    std::fill(acc.begin(), acc.end(), 0);
+    kern.dot_acc(as.data(), 2 * w, bs.data(), w, k, acc.data());
+    kern.reduce_acc(acc.data(), out.data());
+    ASSERT_EQ(Gf2Poly::from_words(out.data(), w), expect)
+        << "dot_acc at k=" << k << " round " << round;
+    // The same dot product one mul_acc at a time.
+    std::fill(acc.begin(), acc.end(), 0);
+    for (unsigned n = 0; n < k; ++n)
+      kern.mul_acc(&as[2 * n * w], &bs[n * w], acc.data());
+    kern.reduce_acc(acc.data(), out.data());
+    ASSERT_EQ(Gf2Poly::from_words(out.data(), w), expect)
+        << "summed mul_acc at k=" << k << " round " << round;
+  }
+}
+
+class FlatKernels : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(FlatKernels, WordPointerEntryPointsMatchFieldMul) {
+  expect_flat_kernels_match(Gf2k::make(GetParam()));
+}
+
+// Table: 8, 16; single-word: 32, 64; sparse-mod: 96, 163, 233, 571.
+INSTANTIATE_TEST_SUITE_P(Tiers, FlatKernels,
+                         ::testing::Values(8u, 16u, 32u, 64u, 96u, 163u, 233u,
+                                           571u));
+
+TEST(FlatKernelsGeneric, WordPointerEntryPointsMatchFieldMul) {
+  // A modulus of weight > 16 forces the generic tier (see below).
+  Gf2Poly m = Gf2Poly::monomial(80);
+  for (unsigned i = 0; i < 40; ++i) m.set_coeff(2 * i + 1, true);
+  m.set_coeff(0, true);
+  const Gf2k field{m};
+  ASSERT_EQ(field.kernel_tier(), KernelTier::kGeneric);
+  expect_flat_kernels_match(field);
+}
 
 TEST(KernelTier, SelectionMatchesFieldSize) {
   EXPECT_EQ(Gf2k::make(8).kernel_tier(), KernelTier::kTable);

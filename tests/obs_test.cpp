@@ -18,6 +18,7 @@
 
 #include "abstraction/bitpoly.h"
 #include "abstraction/rewriter.h"
+#include "abstraction/word_lift.h"
 #include "gf/gf2k.h"
 #include "obs/flight_recorder.h"
 #include "obs/histogram.h"
@@ -82,7 +83,9 @@ TEST_F(ObsTest, KnownMetricSchemaIsPreRegistered) {
   for (const char* name :
        {"reduction_steps", "buchberger.pairs_generated",
         "buchberger.pairs_skipped", "buchberger.pairs_reduced",
-        "extract.substitutions", "sat.conflicts", "bdd.cache_hits",
+        "extract.substitutions", "lift.q_pairs", "lift.dot_products",
+        "lift.reductions", "lift.general_terms", "sat.conflicts",
+        "bdd.cache_hits",
         "fraig.merges", "parallel.items"}) {
     EXPECT_TRUE(snap.count(name)) << "missing pre-registered metric " << name;
   }
@@ -354,6 +357,47 @@ TEST_F(ObsTest, ShardedSubstitutionRecordsOneSpanPerShard) {
     if (e.name == "reduction_chain_shard") ++shard_spans;
   EXPECT_EQ(shard_spans, 3u);
   set_parallel_thread_count(restore_threads);
+}
+
+// The Case-2 lift's work counters, pinned on a lift of known shape: one
+// word pair's k×k matrix through Cᵀ·Q·C (2k² dot products), one word's
+// linear part (k more), and one reduction per dot product. A general-path
+// lift counts its remainder terms instead.
+TEST_F(ObsTest, LiftCountersPinTheBilinearAndGeneralWork) {
+  set_metrics_enabled(true);
+  Metrics::instance().reset_all();
+  constexpr unsigned k = 8;
+  const Gf2k field = Gf2k::make(k);
+  const WordLift lift(&field);
+  VarPool pool;
+  std::vector<VarId> a, b;
+  for (unsigned i = 0; i < k; ++i)
+    a.push_back(pool.intern("a" + std::to_string(i), VarKind::kBit));
+  for (unsigned i = 0; i < k; ++i)
+    b.push_back(pool.intern("b" + std::to_string(i), VarKind::kBit));
+  const std::vector<WordLift::WordBinding> words = {
+      {pool.intern("A", VarKind::kWord), a},
+      {pool.intern("B", VarKind::kWord), b}};
+  BitPoly r(&field);  // Σ α^{i+j}·a_i·b_j + a_0: A·B + a_0
+  for (unsigned i = 0; i < k; ++i)
+    for (unsigned j = 0; j < k; ++j)
+      r.add_term({a[i], b[j]}, field.alpha_pow(std::uint64_t{i} + j));
+  r.add_term({a[0]}, field.one());
+  lift.lift(r, words, pool);
+  auto value = [](const char* name) {
+    return Metrics::instance().counter(name).value();
+  };
+  EXPECT_EQ(value("lift.q_pairs"), 1u);
+  EXPECT_EQ(value("lift.dot_products"), 2u * k * k + k);
+  EXPECT_EQ(value("lift.reductions"), 2u * k * k + k);
+  EXPECT_EQ(value("lift.general_terms"), 0u);
+
+  BitPoly cubic(&field);
+  cubic.add_term({a[0], a[1], b[2]}, field.alpha());
+  cubic.add_term({b[3]}, field.one());
+  lift.lift(cubic, words, pool);
+  EXPECT_EQ(value("lift.general_terms"), 2u);
+  EXPECT_EQ(value("lift.q_pairs"), 1u);
 }
 
 TEST(ObsMetrics, RssSamplingTracksAMonotonicPeak) {
