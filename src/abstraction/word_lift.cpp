@@ -325,14 +325,15 @@ MPoly WordLift::lift_general(const BitPoly& r,
       const auto& [m, c] = *terms[i];
       MPoly acc = MPoly::constant(field_, c);
       for (VarId v : m)
-        acc = (acc * expansion.at(v)).normalized_vanishing(pool);
+        acc = acc.mul(expansion.at(v), control)
+                  .normalized_vanishing(pool, control);
       acc_sum += acc;
     }
     partial[chunk] = std::move(acc_sum);
   }, control);
   MPoly out(field_);
   for (MPoly& p : partial) out += p;
-  return out.normalized_vanishing(pool);
+  return out.normalized_vanishing(pool, control);
 }
 
 }  // namespace gfa

@@ -72,6 +72,26 @@ Witness witness_of_lane(const WordPairing& p,
   return w;
 }
 
+/// `rounds`×64 random points through both circuits; the first lane whose
+/// outputs disagree becomes the witness.
+std::optional<Witness> sample_lanes(const Netlist& spec, const Netlist& impl,
+                                    const Gf2k& field, const WordPairing& p,
+                                    unsigned rounds, std::uint64_t seed) {
+  ElemRng rng(seed);
+  std::vector<std::vector<Gf2Poly>> lanes(p.spec_in.size());
+  std::vector<Gf2Poly> so, io;
+  for (unsigned round = 0; round < rounds; ++round) {
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      lanes[i].resize(64);
+      for (std::size_t l = 0; l < 64; ++l) lanes[i][l] = rng.next_elem(field);
+    }
+    const std::size_t hit = first_mismatched_lane(spec, impl, p, lanes, &so, &io);
+    if (hit != static_cast<std::size_t>(-1))
+      return witness_of_lane(p, lanes, hit);
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::uint64_t ElemRng::next_u64() {
@@ -130,43 +150,41 @@ std::optional<Witness> find_simulation_witness(const Netlist& spec,
   if (p.spec_in.empty()) return std::nullopt;  // constant circuits: no inputs
   std::size_t total_bits = 0;
   for (const Word* w : p.spec_in) total_bits += w->bits.size();
+  if (total_bits > 20)
+    return sample_lanes(spec, impl, field, p, max_rounds, seed);
 
+  // Exhaustive: pack a global counter's bits into the input words, so a
+  // truly non-equivalent small instance can never evade the search.
   std::vector<std::vector<Gf2Poly>> lanes(p.spec_in.size());
   std::vector<Gf2Poly> so, io;
-  if (total_bits <= 20) {
-    // Exhaustive: pack a global counter's bits into the input words, so a
-    // truly non-equivalent small instance can never evade the search.
-    const std::uint64_t limit = std::uint64_t{1} << total_bits;
-    for (std::uint64_t base = 0; base < limit; base += 64) {
-      const std::size_t n =
-          static_cast<std::size_t>(std::min<std::uint64_t>(64, limit - base));
-      for (std::size_t i = 0; i < lanes.size(); ++i) lanes[i].assign(n, {});
-      for (std::size_t l = 0; l < n; ++l) {
-        std::uint64_t c = base + l;
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-          const std::size_t width = p.spec_in[i]->bits.size();
-          lanes[i][l] = Gf2Poly::from_bits(c & ((std::uint64_t{1} << width) - 1));
-          c >>= width;
-        }
+  const std::uint64_t limit = std::uint64_t{1} << total_bits;
+  for (std::uint64_t base = 0; base < limit; base += 64) {
+    const std::size_t n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(64, limit - base));
+    for (std::size_t i = 0; i < lanes.size(); ++i) lanes[i].assign(n, {});
+    for (std::size_t l = 0; l < n; ++l) {
+      std::uint64_t c = base + l;
+      for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const std::size_t width = p.spec_in[i]->bits.size();
+        lanes[i][l] = Gf2Poly::from_bits(c & ((std::uint64_t{1} << width) - 1));
+        c >>= width;
       }
-      const std::size_t hit = first_mismatched_lane(spec, impl, p, lanes, &so, &io);
-      if (hit != static_cast<std::size_t>(-1))
-        return witness_of_lane(p, lanes, hit);
-    }
-    return std::nullopt;
-  }
-
-  ElemRng rng(seed);
-  for (unsigned round = 0; round < max_rounds; ++round) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      lanes[i].resize(64);
-      for (std::size_t l = 0; l < 64; ++l) lanes[i][l] = rng.next_elem(field);
     }
     const std::size_t hit = first_mismatched_lane(spec, impl, p, lanes, &so, &io);
     if (hit != static_cast<std::size_t>(-1))
       return witness_of_lane(p, lanes, hit);
   }
   return std::nullopt;
+}
+
+std::optional<Witness> find_random_simulation_witness(const Netlist& spec,
+                                                      const Netlist& impl,
+                                                      const Gf2k& field,
+                                                      unsigned rounds,
+                                                      std::uint64_t seed) {
+  const WordPairing p = pair_words(spec, impl);
+  if (p.spec_in.empty()) return std::nullopt;
+  return sample_lanes(spec, impl, field, p, rounds, seed);
 }
 
 Witness witness_from_bits(const Netlist& netlist,

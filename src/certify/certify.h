@@ -2,10 +2,13 @@
 // Verdict certification: every answer the engine layer produces is made
 // self-checking (DESIGN.md "Verdict certification").
 //
-//  * kNotEquivalent must come with a witness. The abstraction engine finds
-//    one by Schwartz–Zippel sampling of the two canonical word polynomials;
-//    SAT/BDD/fraig hand over their satisfying assignments; anything else
-//    falls back to random (exhaustive for small inputs) simulation search.
+//  * kNotEquivalent must come with a witness. The abstraction engine first
+//    runs one 64-lane round of random simulation, which refutes most buggy
+//    circuits before any algebra; a pair that round cannot separate gets
+//    its witness by Schwartz–Zippel sampling of the two canonical word
+//    polynomials. SAT/BDD/fraig hand over their satisfying assignments;
+//    anything else falls back to random (exhaustive for small inputs)
+//    simulation search.
 //    Either way the witness is replayed through the bit-parallel simulator —
 //    a code path independent of every proof engine — before it is reported.
 //  * kEquivalent is cross-checked (opt-in via RunOptions::certify): N×64
@@ -67,6 +70,13 @@ std::optional<Witness> find_simulation_witness(const Netlist& spec,
                                                const Gf2k& field,
                                                unsigned max_rounds = 256,
                                                std::uint64_t seed = 0x5EEDC0DEDA7Aull);
+
+/// The random path of find_simulation_witness alone: `rounds`×64 random
+/// points, never the exhaustive enumeration, however few the input bits.
+/// The abstraction engine runs one round of it ahead of the reduction chain.
+std::optional<Witness> find_random_simulation_witness(
+    const Netlist& spec, const Netlist& impl, const Gf2k& field,
+    unsigned rounds = 1, std::uint64_t seed = 0x5EEDC0DEDA7Aull);
 
 /// Groups a bit assignment over netlist.inputs() (a SAT/BDD/fraig model of
 /// the miter's shared inputs) into field elements per input word.

@@ -5,6 +5,7 @@
 // method's deep loops.
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "baselines/sat/solver.h"
 #include "engine/portfolio.h"
 #include "engine/registry.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "worker/checkpoint.h"
 
 namespace gfa::engine {
@@ -72,9 +75,56 @@ void attach_bit_witness(VerifyResult& out, const Netlist& spec,
   }
 }
 
+/// The reduction chains' work counters, flat in the abstraction engine's
+/// stats (all zero when the simulation round decided).
+void set_chain_stats(VerifyResult& out, const ExtractionStats& spec,
+                     const ExtractionStats& impl, bool refuted) {
+  out.stats["spec_substitutions"] = static_cast<double>(spec.substitutions);
+  out.stats["impl_substitutions"] = static_cast<double>(impl.substitutions);
+  out.stats["spec_peak_terms"] = static_cast<double>(spec.peak_terms);
+  out.stats["impl_peak_terms"] = static_cast<double>(impl.peak_terms);
+  out.stats["refuted_by_simulation"] = refuted ? 1 : 0;
+}
+
+/// One 64-lane round of random simulation (certify's random path only, so
+/// small fields do not pay its exhaustive enumeration). Returns NOT
+/// EQUIVALENT with the replayed lane when the round separates the circuits,
+/// nullopt otherwise — including a word-structure error, which the
+/// reduction chain then reports as it always has.
+std::optional<VerifyResult> refute_by_simulation(const Netlist& spec,
+                                                 const Netlist& impl,
+                                                 const Gf2k& field) {
+  const obs::TraceSpan span("simulation_round", "abstraction");
+  // Words that are not k bits wide are the chain's to reject.
+  for (const Netlist* nl : {&spec, &impl})
+    for (const Word& w : nl->words())
+      if (w.bits.size() != field.k()) return std::nullopt;
+  try {
+    const std::optional<certify::Witness> w =
+        certify::find_random_simulation_witness(spec, impl, field, 1);
+    if (!w) return std::nullopt;
+    VerifyResult out;
+    out.counterexample = certify::replay_witness(spec, impl, field, *w);
+    if (!out.counterexample.replayed) return std::nullopt;
+    out.verdict = Verdict::kNotEquivalent;
+    out.detail = "refuted by simulation: output word '" +
+                 out.counterexample.output_word +
+                 "' differs on a random input, found before the reduction "
+                 "chain";
+    set_chain_stats(out, {}, {}, true);
+    GFA_COUNT("verify.sim_refutations", 1);
+    return out;
+  } catch (...) {
+    return std::nullopt;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // abstraction — the paper's flow: RATO-guided reduction + Frobenius lift,
-// then coefficient matching of the two canonical polynomials.
+// then coefficient matching of the two canonical polynomials. One round of
+// random simulation runs first: it costs O(gates) and refutes nearly every
+// buggy circuit, so only pairs it cannot separate pay for the algebra.
+// EQUIVALENT still comes only from the abstraction.
 
 class AbstractionEngine final : public EquivEngine {
  public:
@@ -102,6 +152,10 @@ class AbstractionEngine final : public EquivEngine {
       ck.resume = options.checkpoint_resume;
       eo.checkpoint = &ck;
     }
+    if (Status s = options.control.check(); !s.ok()) return s;
+    if (std::optional<VerifyResult> refuted =
+            refute_by_simulation(spec, impl, field))
+      return std::move(*refuted);
     Result<EquivalenceResult> r = try_check_equivalence(spec, impl, field, eo);
     if (!r.ok()) return r.status();
     VerifyResult out;
@@ -123,12 +177,7 @@ class AbstractionEngine final : public EquivEngine {
       }
     }
     out.resumed = r->spec.stats.resumed || r->impl.stats.resumed;
-    out.stats["spec_substitutions"] =
-        static_cast<double>(r->spec.stats.substitutions);
-    out.stats["impl_substitutions"] =
-        static_cast<double>(r->impl.stats.substitutions);
-    out.stats["spec_peak_terms"] = static_cast<double>(r->spec.stats.peak_terms);
-    out.stats["impl_peak_terms"] = static_cast<double>(r->impl.stats.peak_terms);
+    set_chain_stats(out, r->spec.stats, r->impl.stats, false);
     return out;
   }
 };

@@ -55,6 +55,9 @@ constexpr KnownMetric kKnownMetrics[] = {
     {"rewriter.merge_terms", MetricKind::kCounter},
     // Canonical-form equivalence (abstraction/equivalence.cpp)
     {"equivalence.checks", MetricKind::kCounter},
+    // Abstraction-engine pairs refuted by the simulation round ahead of the
+    // reduction chain (engine/engines.cpp): no chain, lift or export ran.
+    {"verify.sim_refutations", MetricKind::kCounter},
     // Ideal-membership baseline (baselines/ideal_membership.cpp)
     {"ideal_membership.runs", MetricKind::kCounter},
     // CDCL SAT (baselines/sat/solver.cpp), flushed once per solve().
@@ -102,6 +105,10 @@ constexpr KnownMetric kKnownMetrics[] = {
     {"service.quarantined.strikes", MetricKind::kCounter},
     {"service.quarantined.tripped", MetricKind::kCounter},
     {"service.quarantined.fast_fail", MetricKind::kCounter},
+    // Signals the worker supervisor sent while reaping a child
+    // (worker/harness.cpp): 0 for a child that answered and exited on its
+    // own, SIGTERM and SIGKILL escalations otherwise.
+    {"worker.reap_signals", MetricKind::kCounter},
 };
 
 /// Histograms pre-registered alongside the scalar schema. Each contributes

@@ -7,6 +7,14 @@
 
 namespace gfa {
 
+namespace {
+
+/// Terms between two polls of the ExecControl in MPoly::mul() and
+/// MPoly::normalized_vanishing().
+constexpr std::size_t kPollTerms = 4096;
+
+}  // namespace
+
 MPoly MPoly::constant(const Gf2k* field, Elem c) {
   MPoly p(field);
   p.add_term(Monomial(), c);
@@ -50,11 +58,17 @@ MPoly& MPoly::operator+=(const MPoly& rhs) {
   return *this;
 }
 
-MPoly MPoly::operator*(const MPoly& rhs) const {
+MPoly MPoly::mul(const MPoly& rhs, const ExecControl* control) const {
   MPoly out(field_);
+  std::size_t until_poll = kPollTerms;
   for (const auto& [ma, ca] : terms_)
-    for (const auto& [mb, cb] : rhs.terms_)
+    for (const auto& [mb, cb] : rhs.terms_) {
+      if (--until_poll == 0) {
+        throw_if_stopped(control);
+        until_poll = kPollTerms;
+      }
       out.add_term(ma * mb, field_->mul(ca, cb));
+    }
   return out;
 }
 
@@ -83,9 +97,15 @@ MPoly MPoly::monic(const TermOrder& order) const {
   return scaled(field_->inv(lc));
 }
 
-MPoly MPoly::normalized_vanishing(const VarPool& pool) const {
+MPoly MPoly::normalized_vanishing(const VarPool& pool,
+                                  const ExecControl* control) const {
   MPoly out(field_);
+  std::size_t until_poll = kPollTerms;
   for (const auto& [m, c] : terms_) {
+    if (--until_poll == 0) {
+      throw_if_stopped(control);
+      until_poll = kPollTerms;
+    }
     std::vector<std::pair<VarId, BigUint>> pairs;
     pairs.reserve(m.factors().size());
     for (const auto& [v, e] : m.factors()) {

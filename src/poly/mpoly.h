@@ -58,7 +58,12 @@ class MPoly {
 
   MPoly operator+(const MPoly& rhs) const;
   MPoly& operator+=(const MPoly& rhs);
-  MPoly operator*(const MPoly& rhs) const;
+  MPoly operator*(const MPoly& rhs) const { return mul(rhs, nullptr); }
+
+  /// Product that polls `control` every few thousand term products, so one
+  /// large product (k³ terms for a cubic word-level expansion) still stops
+  /// at a deadline; expiry unwinds via StatusError.
+  MPoly mul(const MPoly& rhs, const ExecControl* control) const;
 
   /// Product with a single term.
   MPoly mul_term(const Elem& c, const Monomial& m) const;
@@ -75,7 +80,9 @@ class MPoly {
   /// Reduces exponents by the vanishing ideal: bit variables x^e -> x (e>=1),
   /// word variables X^e -> X^{((e-1) mod (q-1)) + 1}. This maps a polynomial
   /// to the canonical representative of the same *function* on F_q points.
-  MPoly normalized_vanishing(const VarPool& pool) const;
+  /// `control` is polled every few thousand terms, as in mul().
+  MPoly normalized_vanishing(const VarPool& pool,
+                             const ExecControl* control = nullptr) const;
 
   /// Substitutes `v` by `replacement` (exponentiation by square-and-multiply;
   /// each partial product is vanishing-normalized to keep degrees canonical).

@@ -275,21 +275,45 @@ class ChildTelemetry {
   std::size_t trace_sent_ = 0;
 };
 
-/// Reaps the child, escalating SIGTERM -> (grace) -> SIGKILL if it is still
-/// alive. Returns the raw waitpid status.
-int reap_child(pid_t pid, double grace_seconds) {
-  int wstatus = 0;
-  pid_t r = waitpid(pid, &wstatus, WNOHANG);
-  if (r == pid) return wstatus;
-  kill(pid, SIGTERM);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(grace_seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
-    r = waitpid(pid, &wstatus, WNOHANG);
-    if (r == pid) return wstatus;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+/// Polls for the child's exit until `deadline`, napping between polls for
+/// a time that starts at 50 µs and doubles up to 20 ms, so a child that is
+/// already on its way out is reaped within tens of microseconds.
+bool wait_for_exit(pid_t pid, std::chrono::steady_clock::time_point deadline,
+                   int* wstatus) {
+  auto nap = std::chrono::microseconds(50);
+  for (;;) {
+    const pid_t r = waitpid(pid, wstatus, WNOHANG);
+    if (r == pid) return true;
+    if (r < 0 && errno != EINTR) return false;
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) return false;
+    std::this_thread::sleep_for(std::min<std::chrono::steady_clock::duration>(
+        nap, deadline - now));
+    nap = std::min(nap * 2, std::chrono::microseconds(20000));
   }
+}
+
+/// Reaps the child and returns the raw waitpid status. A child that sent a
+/// valid response is inside its own _exit(0): it gets `grace_seconds` to
+/// finish without a signal. Otherwise, or past that bound, the supervisor
+/// escalates SIGTERM -> (grace) -> SIGKILL.
+int reap_child(pid_t pid, bool answered, double grace_seconds) {
+  const obs::TraceSpan span("worker:reap", "worker");
+  const auto grace = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(grace_seconds));
+  int wstatus = 0;
+  if (answered) {
+    if (wait_for_exit(pid, std::chrono::steady_clock::now() + grace, &wstatus))
+      return wstatus;
+  } else if (waitpid(pid, &wstatus, WNOHANG) == pid) {
+    return wstatus;
+  }
+  kill(pid, SIGTERM);
+  GFA_COUNT("worker.reap_signals", 1);
+  if (wait_for_exit(pid, std::chrono::steady_clock::now() + grace, &wstatus))
+    return wstatus;
   kill(pid, SIGKILL);
+  GFA_COUNT("worker.reap_signals", 1);
   while (waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
   }
   return wstatus;
@@ -565,7 +589,8 @@ engine::EngineRun run_in_worker(const WorkerRequest& request,
   // nothing further to read once the loop ended.
   close(from_child[0]);
 
-  const int wstatus = reap_child(pid, config.kill_grace_seconds);
+  const int wstatus =
+      reap_child(pid, have_response, config.kill_grace_seconds);
   const auto end = std::chrono::steady_clock::now();
   run.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
 

@@ -11,11 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "certify/certify.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
 #include "circuit/mutate.h"
 #include "engine/registry.h"
 #include "engine/report.h"
+#include "test_util.h"
 #include "util/json_reader.h"
 
 namespace gfa::engine {
@@ -258,6 +260,78 @@ TEST(EngineRun, RefutationCarriesReplayedCounterexampleIntoTheReport) {
     return;
   }
   FAIL() << "no mutation seed in 1..32 produced a refutation";
+}
+
+// ---------------------------------------------------------------------------
+// The simulation round ahead of the reduction chain.
+
+TEST(AbstractionRefutation, OneSimulationRoundRefutesAMutantBeforeTheChain) {
+  const Gf2k field = Gf2k::make(16);
+  const Netlist spec = make_mastrovito_multiplier(field);
+  const Netlist impl =
+      inject_random_bug(make_montgomery_multiplier_flat(field), 1);
+  RunOptions options;
+  options.export_canonical = true;
+  const Result<VerifyResult> r =
+      EngineRegistry::global().find("abstraction")->verify(spec, impl, field,
+                                                           options);
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r->verdict, Verdict::kNotEquivalent);
+  EXPECT_NE(r->detail.find("refuted by simulation"), std::string::npos)
+      << r->detail;
+  EXPECT_TRUE(r->counterexample.replayed);
+  EXPECT_NE(r->counterexample.expected, r->counterexample.actual);
+  EXPECT_EQ(r->stats.at("refuted_by_simulation"), 1.0);
+  EXPECT_EQ(r->stats.at("spec_substitutions"), 0.0);
+  EXPECT_EQ(r->stats.at("impl_substitutions"), 0.0);
+  // No chain ran, so there is no canonical form to export.
+  EXPECT_TRUE(r->canonical_spec.empty());
+  EXPECT_TRUE(r->canonical_impl.empty());
+}
+
+TEST(AbstractionRefutation, PairTheRoundCannotSeparateDecidesThroughTheChain) {
+  const Gf2k field = Gf2k::make(4);
+  const Netlist spec = make_mastrovito_multiplier(field);
+  const Netlist impl = test::bug_the_round_misses(spec, field);
+  // Premise: the round's 64 random lanes miss the single differing point.
+  ASSERT_FALSE(
+      certify::find_random_simulation_witness(spec, impl, field, 1).has_value());
+  const EngineRun run =
+      run_engine(*EngineRegistry::global().find("abstraction"), spec, impl,
+                 field, RunOptions{});
+  ASSERT_TRUE(run.status.ok()) << run.status.to_string();
+  EXPECT_EQ(run.verdict, Verdict::kNotEquivalent);
+  EXPECT_NE(run.detail.find("coefficients differ"), std::string::npos)
+      << run.detail;
+  EXPECT_EQ(run.stats.at("refuted_by_simulation"), 0.0);
+  EXPECT_GT(run.stats.at("impl_substitutions"), 0.0);
+  EXPECT_TRUE(run.counterexample.replayed);
+}
+
+TEST(AbstractionRefutation, WordsOfAnotherWidthAreStillInvalidArgument) {
+  // A mutant pair of 4-bit words verified over F_2^8: the round must not
+  // answer for circuits the chain rejects.
+  const Gf2k f4 = Gf2k::make(4);
+  const Netlist spec = make_mastrovito_multiplier(f4);
+  const Netlist impl =
+      inject_random_bug(make_montgomery_multiplier_flat(f4), 1);
+  const Result<VerifyResult> r =
+      EngineRegistry::global().find("abstraction")->verify(
+          spec, impl, Gf2k::make(8), RunOptions{});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AbstractionRefutation, EquivalentPairStillGoesThroughTheChain) {
+  const Gf2k field = Gf2k::make(8);
+  const Result<VerifyResult> r =
+      EngineRegistry::global().find("abstraction")->verify(
+          make_mastrovito_multiplier(field),
+          make_montgomery_multiplier_flat(field), field, RunOptions{});
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r->verdict, Verdict::kEquivalent);
+  EXPECT_EQ(r->stats.at("refuted_by_simulation"), 0.0);
+  EXPECT_GT(r->stats.at("spec_substitutions"), 0.0);
 }
 
 TEST(EngineRun, TimesTheCallAndNeverThrows) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "abstraction/rato.h"
 #include "baselines/interpolation.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
+#include "circuit/mutate.h"
 #include "circuit/sim.h"
 #include "test_util.h"
 
@@ -206,6 +209,28 @@ TEST(Extractor, BudgetExceededThrows) {
   ExtractionOptions opts;
   opts.max_terms = 10;
   EXPECT_THROW(extract_word_function(nl, field, opts), ExtractionBudgetExceeded);
+}
+
+TEST(Extractor, DeadlineStopsTheGeneralLiftInsideOneTerm) {
+  // Mutant seed 6 of the k=64 flat Montgomery leaves 64 cubic terms among
+  // 4160 in its remainder. Each cubic term expands to k³ ≈ 262K word-level
+  // terms in one product, so the deadline must be polled inside the
+  // products, not only between remainder terms.
+  const Gf2k field = Gf2k::make(64);
+  const Netlist bug =
+      inject_random_bug(make_montgomery_multiplier_flat(field), 6);
+  ExecControl control;
+  control.deadline = Deadline::after(0.2);
+  ExtractionOptions opts;
+  opts.control = &control;
+  const auto start = std::chrono::steady_clock::now();
+  const Result<WordFunction> r = try_extract_word_function(bug, field, opts);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(elapsed, 1.0);
 }
 
 TEST(Extractor, MissingWordsAreRejected) {

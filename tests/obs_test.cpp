@@ -7,6 +7,7 @@
 // the exact-sum assertions here.
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <atomic>
 #include <cstring>
@@ -19,6 +20,11 @@
 #include "abstraction/bitpoly.h"
 #include "abstraction/rewriter.h"
 #include "abstraction/word_lift.h"
+#include "circuit/mastrovito.h"
+#include "circuit/montgomery.h"
+#include "circuit/mutate.h"
+#include "circuit/parser.h"
+#include "engine/registry.h"
 #include "gf/gf2k.h"
 #include "obs/flight_recorder.h"
 #include "obs/histogram.h"
@@ -26,7 +32,9 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "util/fault_inject.h"
 #include "util/parallel_for.h"
+#include "worker/harness.h"
 
 namespace gfa::obs {
 namespace {
@@ -86,9 +94,62 @@ TEST_F(ObsTest, KnownMetricSchemaIsPreRegistered) {
         "extract.substitutions", "lift.q_pairs", "lift.dot_products",
         "lift.reductions", "lift.general_terms", "sat.conflicts",
         "bdd.cache_hits",
-        "fraig.merges", "parallel.items"}) {
+        "fraig.merges", "parallel.items", "verify.sim_refutations",
+        "worker.reap_signals"}) {
     EXPECT_TRUE(snap.count(name)) << "missing pre-registered metric " << name;
   }
+}
+
+TEST_F(ObsTest, SimRefutationsCountPairsRefutedBeforeTheChain) {
+  set_metrics_enabled(true);
+  Metrics::instance().reset_all();
+  const Gf2k field = Gf2k::make(8);
+  const Netlist spec = make_mastrovito_multiplier(field);
+  const engine::EquivEngine& abstraction =
+      *engine::EngineRegistry::global().find("abstraction");
+  const auto equivalent = abstraction.verify(
+      spec, make_montgomery_multiplier_flat(field), field, {});
+  ASSERT_TRUE(equivalent.ok());
+  EXPECT_EQ(Metrics::instance().counter("verify.sim_refutations").value(), 0u);
+  const auto refuted = abstraction.verify(
+      spec, inject_random_bug(make_montgomery_multiplier_flat(field), 1),
+      field, {});
+  ASSERT_TRUE(refuted.ok());
+  ASSERT_EQ(refuted->verdict, engine::Verdict::kNotEquivalent);
+  EXPECT_EQ(Metrics::instance().counter("verify.sim_refutations").value(), 1u);
+}
+
+TEST_F(ObsTest, ReapSignalsStayZeroForCleanWorkersAndCountAHang) {
+  set_metrics_enabled(true);
+  Metrics::instance().reset_all();
+  std::string tmpl = ::testing::TempDir() + "gfa_obs_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+  const Gf2k field = Gf2k::make(8);
+  worker::WorkerRequest req;
+  req.spec_path = tmpl + "/spec.net";
+  req.impl_path = tmpl + "/impl.net";
+  req.k = 8;
+  write_netlist_file(make_mastrovito_multiplier(field), req.spec_path);
+  write_netlist_file(make_montgomery_multiplier_flat(field), req.impl_path);
+
+  // A worker that answers exits on its own: reaped without a signal.
+  for (int i = 0; i < 3; ++i) {
+    const engine::EngineRun run = worker::run_in_worker(req);
+    ASSERT_TRUE(run.status.ok()) << run.status.to_string();
+  }
+  EXPECT_EQ(Metrics::instance().counter("worker.reap_signals").value(), 0u);
+
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
+  // The injected hang ignores SIGTERM, so reaping it takes SIGTERM, then
+  // SIGKILL once the grace runs out.
+  ASSERT_TRUE(fault::arm("worker:hang", 1).ok());
+  req.timeout_seconds = 0.3;
+  worker::WorkerConfig config;
+  config.kill_grace_seconds = 0.2;
+  const engine::EngineRun hung = worker::run_in_worker(req, config);
+  fault::disarm();
+  EXPECT_FALSE(hung.status.ok());
+  EXPECT_GE(Metrics::instance().counter("worker.reap_signals").value(), 1u);
 }
 
 TEST_F(ObsTest, ConcurrentIncrementsFromParallelForSumExactly) {

@@ -12,6 +12,7 @@
 #include "circuit/mutate.h"
 #include "engine/registry.h"
 #include "engine/report.h"
+#include "test_util.h"
 
 namespace gfa::engine {
 namespace {
@@ -49,6 +50,25 @@ TEST(Portfolio, FirstAttemptMemsOutFallbackDecidesEquivalent) {
 }
 
 TEST(Portfolio, FallbackAlsoDecidesNotEquivalentOnABuggyImpl) {
+  // A bug at a single input point: the abstraction's simulation round
+  // misses it, so attempt 0 reaches the chain and mems out there.
+  const Gf2k field = Gf2k::make(4);
+  const Netlist spec = make_mastrovito_multiplier(field);
+  const Netlist impl = test::bug_the_round_misses(spec, field);
+  RunOptions options;
+  options.portfolio_engines = {"abstraction", "sat"};
+  options.max_terms = 2;
+  const Result<VerifyResult> r = portfolio().verify(spec, impl, field, options);
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r->verdict, Verdict::kNotEquivalent);
+  ASSERT_EQ(r->attempts.size(), 2u);
+  EXPECT_EQ(r->attempts[0].status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(r->attempts[1].verdict, Verdict::kNotEquivalent);
+}
+
+TEST(Portfolio, SimulationRefutedFirstAttemptSkipsTheFallback) {
+  // A random mutant is refuted by the abstraction's simulation round before
+  // the chain, so its term budget never comes into play.
   const Gf2k field = Gf2k::make(4);
   const Netlist spec = make_mastrovito_multiplier(field);
   const Netlist impl =
@@ -60,7 +80,11 @@ TEST(Portfolio, FallbackAlsoDecidesNotEquivalentOnABuggyImpl) {
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_EQ(r->verdict, Verdict::kNotEquivalent);
   ASSERT_EQ(r->attempts.size(), 2u);
-  EXPECT_EQ(r->attempts[0].status.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(r->attempts[0].status.ok());
+  EXPECT_EQ(r->attempts[0].verdict, Verdict::kNotEquivalent);
+  EXPECT_NE(r->attempts[0].detail.find("refuted by simulation"),
+            std::string::npos);
+  EXPECT_TRUE(r->attempts[1].skipped);
 }
 
 TEST(Portfolio, DefinitiveFirstAttemptSkipsTheRest) {

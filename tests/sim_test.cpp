@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/mastrovito.h"
 #include "test_util.h"
 
 namespace gfa {
@@ -48,6 +49,43 @@ TEST(Simulate, NaryGates) {
   const std::uint64_t mask = 0xFF;
   EXPECT_EQ(v[g_and] & mask, 0b00000001u);
   EXPECT_EQ(v[g_xor] & mask, 0b01101001u);
+}
+
+TEST(Simulate, NonMonotoneNetIdOrderMatchesKahnOrderLaneForLane) {
+  const Gf2k field = Gf2k::make(8);
+  const Netlist rewired = test::xor_minterm_into_z0(
+      make_mastrovito_multiplier(field), ~std::uint64_t{0});
+  // Premise: NetId order is no longer a topological order.
+  bool non_monotone = false;
+  for (NetId n = 0; n < rewired.num_nets(); ++n)
+    for (NetId f : rewired.gate(n).fanins) non_monotone |= f >= n;
+  ASSERT_TRUE(non_monotone);
+
+  // The same circuit renumbered in Kahn order, so its NetIds are monotone.
+  Netlist renumbered;
+  std::vector<NetId> to(rewired.num_nets(), kNoNet);
+  for (NetId n : rewired.inputs())
+    to[n] = renumbered.add_input(rewired.gate(n).name);
+  for (NetId n : rewired.topological_order()) {
+    const Netlist::Gate& g = rewired.gate(n);
+    if (g.type == GateType::kInput) continue;
+    if (g.type == GateType::kConst0 || g.type == GateType::kConst1) {
+      to[n] = renumbered.add_const(g.type == GateType::kConst1, g.name);
+      continue;
+    }
+    std::vector<NetId> fanins;
+    for (NetId f : g.fanins) fanins.push_back(to[f]);
+    to[n] = renumbered.add_gate(g.type, fanins, g.name);
+  }
+
+  test::Rng rng(7);
+  std::vector<std::uint64_t> lanes(rewired.inputs().size());
+  // Lane 0 is the all-ones point, the one input the minterm changes.
+  for (std::uint64_t& l : lanes) l = rng.next() | 1u;
+  const auto got = simulate(rewired, lanes);
+  const auto want = simulate(renumbered, lanes);
+  for (NetId n = 0; n < rewired.num_nets(); ++n)
+    ASSERT_EQ(got[n], want[to[n]]) << "net " << rewired.gate(n).name;
 }
 
 TEST(SimulateWords, Fig2MultiplierMatchesFieldMul) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "abstraction/extractor.h"
+#include "certify/certify.h"
 #include "circuit/netlist.h"
 #include "gf/gf2k.h"
 #include "poly/mpoly.h"
@@ -96,6 +97,40 @@ inline Netlist make_random_word_circuit(unsigned k, std::uint64_t seed,
   nl.declare_word("B", b);
   nl.declare_word("Z", z);
   return nl;
+}
+
+/// `nl` with the minterm of `point` (bit i is the value of nl.inputs()[i])
+/// XORed into bit 0 of word "Z": the two differ at that one input point.
+/// The gate that computed z0 moves to a new net and z0 is rewired in
+/// place, so z0's fanins now carry larger NetIds than z0 itself.
+inline Netlist xor_minterm_into_z0(Netlist nl, std::uint64_t point) {
+  const NetId z0 = nl.find_word("Z")->bits[0];
+  const Netlist::Gate old = nl.gate(z0);
+  const NetId moved = nl.add_gate(old.type, old.fanins, old.name + "_moved");
+  std::vector<NetId> literals;
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+    const NetId in = nl.inputs()[i];
+    literals.push_back((point >> i) & 1u
+                           ? in
+                           : nl.add_gate(GateType::kNot, {in},
+                                         nl.gate(in).name + "_bar"));
+  }
+  const NetId minterm = nl.add_gate(GateType::kAnd, literals, "minterm");
+  nl.mutable_gate(z0) = Netlist::Gate{GateType::kXor, {moved, minterm}, old.name};
+  return nl;
+}
+
+/// A bug that the abstraction engine's simulation round misses: `spec` with
+/// the minterm of the first point, counting down from all ones, that none of
+/// the round's 64 lanes hits. Needs fewer than 64 input bits. The reduction
+/// chain still tells the two apart.
+inline Netlist bug_the_round_misses(const Netlist& spec, const Gf2k& field) {
+  for (std::uint64_t point = (std::uint64_t{1} << spec.inputs().size()) - 1;;
+       --point) {
+    Netlist impl = xor_minterm_into_z0(spec, point);
+    if (!certify::find_random_simulation_witness(spec, impl, field, 1))
+      return impl;
+  }
 }
 
 /// Evaluates a WordFunction at named word inputs.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -138,6 +139,36 @@ TEST_P(WordLiftTest, ExpansionRecoversBitsFromWordValue) {
 INSTANTIATE_TEST_SUITE_P(Sizes, WordLiftTest,
                          ::testing::Values(2, 3, 4, 5, 8, 13, 16, 32, 64, 96,
                                            163));
+
+TEST(WordLiftDeadline, OneCubicTermStopsAtTheDeadline) {
+  // At k = 64 one cubic term expands to k³ ≈ 262K word-level terms in a
+  // single product, which takes seconds; the deadline is polled inside it.
+  const Gf2k field = Gf2k::make(64);
+  VarPool pool;
+  std::vector<VarId> abits, bbits;
+  for (unsigned i = 0; i < 64; ++i)
+    abits.push_back(pool.intern("a" + std::to_string(i), VarKind::kBit));
+  for (unsigned i = 0; i < 64; ++i)
+    bbits.push_back(pool.intern("b" + std::to_string(i), VarKind::kBit));
+  const VarId a = pool.intern("A", VarKind::kWord);
+  const VarId b = pool.intern("B", VarKind::kWord);
+  BitPoly r(&field);
+  r.add_term({abits[0], abits[1], bbits[0]}, field.one());
+  const WordLift lift(&field);
+  ExecControl control;
+  control.deadline = Deadline::after(0.1);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    lift.lift(r, {{a, abits}, {b, bbits}}, pool, &control);
+    FAIL() << "the lift outran a 100 ms deadline";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status.code(), StatusCode::kDeadlineExceeded);
+  }
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(elapsed, 0.6);
+}
 
 class WordLiftSmall : public ::testing::Test {
  protected:
