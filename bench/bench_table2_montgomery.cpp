@@ -141,8 +141,7 @@ int main(int argc, char** argv) {
       "paper_reference",
       "k=163 total 636s (BlkA 144 / BlkB 137 / BlkMid 264 / BlkOut 91); "
       "k=571 total 87458s. Block gate shape: Mid >> A = B > Out");
-  // k=233 joined the default ladder along with the sharded reduction chain;
-  // GFA_BENCH_MAX_K still trims it for CI.
+  // k=233 is on the default ladder; GFA_BENCH_MAX_K still trims it for CI.
   const std::vector<unsigned> sizes = gfa::bench::ladder({16, 32, 64, 96, 128}, 233);
   for (unsigned k : sizes) {
     for (int b = 0; b < 4; ++b) {

@@ -162,8 +162,8 @@ class JsonReporter {
 /// Scaling section: re-extracts one circuit at pool widths 1/2/4/8 and adds
 /// one record per width (the per-record "threads" extra plus the usual
 /// "phases" object, so reduction_chain ms vs width is directly readable from
-/// BENCH_*.json). The sharded chain's determinism contract is enforced here:
-/// a canonical polynomial that differs across widths aborts the bench.
+/// BENCH_*.json). It doubles as a determinism check: a canonical polynomial
+/// that differs across widths aborts the bench.
 /// Restores the pool width it found.
 inline void add_scaling_records(JsonReporter& reporter, const std::string& name,
                                 const Gf2k& field, const Netlist& netlist,

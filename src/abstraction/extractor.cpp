@@ -92,7 +92,7 @@ CheckpointPlan plan_checkpoint(const Netlist& netlist, unsigned k,
 /// optimization, never a correctness dependency.
 void save_progress(const CheckpointPlan& plan, const Word* out_word,
                    unsigned k, std::uint64_t step,
-                   const ShardedRewriter::TermMap& terms) {
+                   const BackwardRewriter::TermMap& terms) {
   worker::ReductionCheckpoint cp;
   cp.k = k;
   cp.circuit_hash = plan.circuit_hash;
@@ -139,19 +139,8 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
   ExtractionStats stats;
   CheckpointPlan ckpt = plan_checkpoint(netlist, k, out_word, options);
   stats.resumed = ckpt.resumed;
-  // Seed sharding: the chain is linear in the seed polynomial, so S
-  // sub-chains over a partition of the seeds XOR-merge to the serial result
-  // at every step (ShardedRewriter). A checkpoint's terms re-shard on resume
-  // the same way — any partition is valid — so a run saved at one thread
-  // count resumes at another.
-  const std::size_t seed_count =
-      ckpt.resumed ? ckpt.resume_terms.size() : k;
-  unsigned shards = options.chain_shards != 0 ? options.chain_shards
-                                              : parallel_available_width();
-  if (seed_count > 0 && shards > seed_count)
-    shards = static_cast<unsigned>(seed_count);
-  ShardedRewriter chain(field, std::move(substitutable), shards,
-                        options.max_terms, options.control);
+  BackwardRewriter chain(field, std::move(substitutable), options.max_terms,
+                         options.control);
   try {
     std::vector<NetId> rato;
     {
@@ -163,27 +152,25 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
     }
     const obs::TraceSpan chain_span("reduction_chain", "abstraction");
     if (ckpt.resumed) {
-      // Seed the shards with the checkpointed intermediate polynomial (the
-      // occurrence indexes rebuild through add()); the first resume_step
+      // Seed the chain with the checkpointed intermediate polynomial (the
+      // occurrence index rebuilds through add()); the first resume_step
       // substitutions of the deterministic RATO chain are already folded in.
       for (auto& [mono, coeff] : ckpt.resume_terms)
-        chain.seed(std::move(mono), coeff);
+        chain.add(std::move(mono), std::move(coeff));
       ckpt.resume_terms.clear();
     } else {
       for (unsigned j = 0; j < k; ++j)
-        chain.seed(BitMono{out_word->bits[j]}, basis_elem(j));
+        chain.add(BitMono{out_word->bits[j]}, basis_elem(j));
     }
     std::vector<NetId> gates;
     gates.reserve(rato.size());
     for (NetId n : rato)
       if (!is_input[n]) gates.push_back(n);
     // The chain runs in segments of one checkpoint interval (the whole chain
-    // when neither checkpointing nor a progress sink is active); every
-    // segment end is a merge barrier where the XOR-merged polynomial equals
-    // the serial state, so that is where snapshots — and heartbeat progress
-    // reports — happen. A sink alone segments at the default checkpoint
-    // cadence: run_segment carries no per-call merge cost, so segmentation
-    // only bounds how stale a heartbeat's step count can get.
+    // when neither checkpointing nor a progress sink is active); segment
+    // ends are where snapshots and heartbeat progress reports happen. A sink
+    // alone segments at the default checkpoint cadence: segmentation only
+    // bounds how stale a heartbeat's step count can get.
     const bool segmented = ckpt.active || obs::progress_active();
     const std::uint64_t interval =
         ckpt.active ? ckpt.interval : std::uint64_t{1000};
@@ -198,7 +185,7 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
       stats.substitutions += end - step;
       step = end;
       if (ckpt.active && step < gates.size()) {
-        save_progress(ckpt, out_word, k, step, chain.merged());
+        save_progress(ckpt, out_word, k, step, chain.terms());
         if (obs::progress_active())
           obs::flight::note("checkpoint:save", step, chain.num_terms());
       }
@@ -218,7 +205,7 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
   GFA_GAUGE_MAX("extract.peak_terms", stats.peak_terms);
 
   // The remainder now mentions only primary-input bits.
-  const ShardedRewriter::TermMap remainder = chain.take_merged();
+  const BackwardRewriter::TermMap remainder = chain.take_terms();
   stats.remainder_terms = remainder.size();
   bool any_bits = false;
   for (const auto& [m, c] : remainder) {

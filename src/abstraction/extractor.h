@@ -72,11 +72,6 @@ struct ExtractionOptions {
   const ExecControl* control = nullptr;
   /// Periodic reduction-chain checkpointing (null = off; see above).
   const ExtractionCheckpoint* checkpoint = nullptr;
-  /// Sub-chains the reduction chain is split into (seed sharding — see
-  /// ShardedRewriter in rewriter.h; the extracted polynomial is bit-identical
-  /// for every value). 0 = auto: the pool width, capped by the seed size.
-  /// 1 forces the serial chain.
-  unsigned chain_shards = 0;
 };
 
 struct ExtractionStats {

@@ -40,9 +40,10 @@ namespace gfa {
 namespace detail {
 
 /// Thread-local size-classed free lists backing spilled monomials. Buffers
-/// are recycled within the freeing thread (spills that migrate across shard
-/// merges are simply returned to the merger's pool); each class caches a
-/// bounded number of buffers and falls back to operator new beyond that.
+/// are recycled within the freeing thread (a spill built on one thread and
+/// freed on another simply joins the freeing thread's pool); each class
+/// caches a bounded number of buffers and falls back to operator new beyond
+/// that.
 VarId* spill_alloc(std::size_t n);
 void spill_free(VarId* p, std::size_t n) noexcept;
 /// Bytes the pool accounts for an n-id spill buffer (its size class, not n).

@@ -7,26 +7,11 @@
 // actually contain it. Under RATO this sequence of substitutions *is* the
 // Gröbner-basis reduction chain (see extractor.h).
 //
-// Two layers of parallelism sit on top of the serial engine, both bit-exact:
-//
-//   * Chunked substitution (BackwardRewriter::substitute): when one gate
-//     variable occurs in many terms, the affected terms are collected, the
-//     x → tail(x) expansion runs shard-locally into thread-private term maps
-//     on the pool, and the shards merge back in fixed order. XOR-combining
-//     coefficients in F_{2^k} is exact and commutative, so the merged map
-//     equals the serial result term for term. This helps pending-heavy chains
-//     (flat Montgomery, where most of the time sits in wide substitutions).
-//
-//   * Seed sharding (ShardedRewriter): substitution is linear in the working
-//     polynomial — v → tail(v) is a ring homomorphism on F_{2^k}[x]/J_0, so
-//     chain(p ⊕ q) = chain(p) ⊕ chain(q). Splitting the k seed terms across
-//     S independent rewriters, running the same RATO sequence in each, and
-//     XOR-merging yields the serial polynomial exactly, at every step of the
-//     chain. This helps pending-thin chains (XOR-tree multipliers keep each
-//     substitutable variable in ≤ 1 term, so chunking has nothing to split).
+// The chain is serial: substitution i rewrites the polynomial substitution
+// i−1 produced, so BackwardRewriter::run_segment walks the RATO gates one at
+// a time (DESIGN.md, "Reduction chain").
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -40,10 +25,6 @@ namespace gfa {
 struct RewriteBudgetExceeded : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
-
-/// Pending-term count above which substitute() fans the tail expansion out
-/// across the pool. Below it the dispatch + merge overhead beats the win.
-inline constexpr std::size_t kChunkedSubstitutionMin = 128;
 
 /// A gate tail as a flat monomial list with every coefficient implicitly 1.
 /// Substitution only ever *iterates* a tail's terms — it never looks one up —
@@ -123,8 +104,8 @@ class BackwardRewriter {
   /// `substitutable[v]` marks variables that may later be substituted (gate
   /// outputs); only those are indexed. `max_terms` = 0 disables the budget.
   /// A control carrying a ResourceBudget additionally bounds the term map
-  /// and occurrence index in bytes (site rewriter.terms); its deadline and
-  /// cancel token are polled inside chunked-substitution shard loops.
+  /// and occurrence index in bytes (site rewriter.terms); run_segment polls
+  /// its deadline and cancel token once per gate.
   BackwardRewriter(const Gf2k& field, std::vector<bool> substitutable,
                    std::size_t max_terms = 0,
                    const ExecControl* control = nullptr)
@@ -202,18 +183,23 @@ class BackwardRewriter {
   }
 
   /// Replaces every occurrence of variable v by `tail` (a polynomial over
-  /// variables that will be substituted after v, or never). Fans out across
-  /// the pool when enough terms are affected (see header comment); the
-  /// result is bit-identical either way. Accepts the flat tail form (what
-  /// the chain feeds it) or a full polynomial (tests, baselines).
+  /// variables that will be substituted after v, or never). Accepts the flat
+  /// tail form (what the chain feeds it) or a full polynomial (tests,
+  /// baselines).
   void substitute(VarId v, const BitPoly& tail) { substitute_impl(v, tail); }
   void substitute(VarId v, const FlatTail& tail) { substitute_impl(v, tail); }
+
+  /// Substitutes gates[from, to) — in RATO order — polling the control
+  /// before every gate. Any segment end is a valid checkpoint: the term map
+  /// then holds exactly the chain's polynomial after `to` substitutions.
+  void run_segment(const Netlist& netlist, const std::vector<NetId>& gates,
+                   std::size_t from, std::size_t to);
 
   std::size_t num_terms() const { return terms_.size(); }
   const TermMap& terms() const { return terms_; }
 
-  /// Destructively hands the term map over (the rewriter is spent after);
-  /// used by ShardedRewriter's final merge to avoid copying every monomial.
+  /// Destructively hands the term map over (the rewriter is spent after),
+  /// so the remainder leaves the chain without copying every monomial.
   TermMap take_terms() { return std::move(terms_); }
 
   /// Largest term-map size seen so far (sampled after every insertion).
@@ -222,13 +208,19 @@ class BackwardRewriter {
   /// Registered (possibly stale) occurrence-index entries for v.
   std::size_t occurrences(VarId v) const { return occurs_[v].size(); }
 
-  /// Gate-lookahead prefetch hooks for the serial chain (run_segment): a
-  /// substitution typically affects a single term, so latency can only be
-  /// hidden by warming the *next* gates' state while the current one
-  /// expands. Two levels, matching the dependency chain: the occurrence
-  /// list line first (its inline slots hold the pending monomials), then —
-  /// one gate later, once that line is resident — the term-map slots those
-  /// monomials probe. Advisory only.
+ private:
+  template <class TailT>
+  void substitute_impl(VarId v, const TailT& tail);
+
+  using OccList = InlineSmallVec<BitMono, 2>;
+
+  /// Gate-lookahead prefetch for run_segment: a substitution typically
+  /// affects a single term, so latency can only be hidden by warming the
+  /// *next* gates' state while the current one expands. Two levels,
+  /// matching the dependency chain: the occurrence list line first (its
+  /// inline slots hold the pending monomials), then — one gate later, once
+  /// that line is resident — the term-map slots those monomials probe.
+  /// Advisory only.
   void prefetch_occurrence_list(VarId v) const {
     __builtin_prefetch(&occurs_[v], 0, 1);
   }
@@ -238,23 +230,6 @@ class BackwardRewriter {
     if (n > 4) n = 4;  // a few lines of lead is all the loop can use
     for (std::size_t i = 0; i < n; ++i) terms_.prefetch(pending[i]);
   }
-
- private:
-  /// One affected term, detached from the map: the monomial minus v, plus
-  /// its coefficient.
-  struct Affected {
-    BitMono rest;
-    Gf2k::Elem coeff;
-  };
-
-  template <class TailT>
-  void substitute_impl(VarId v, const TailT& tail);
-
-  template <class TailT>
-  void expand_chunked(const std::vector<Affected>& work, const TailT& tail,
-                      unsigned width);
-
-  using OccList = InlineSmallVec<BitMono, 2>;
 
   /// Heap footprint of one occurrence-index entry: inline monomials cost the
   /// slot alone, spilled ones add their arena buffer.
@@ -289,60 +264,20 @@ class BackwardRewriter {
   BudgetLease lease_;            // releases everything on destruction
 };
 
-/// One RATO reduction chain run as S independent sub-chains over a partition
-/// of the seed polynomial (see the header comment's linearity argument).
-/// Shards share nothing mutable — gate tails are built once per segment and
-/// read concurrently — and only meet at merge barriers, where the XOR-merge
-/// (fixed shard order) reconstructs the exact serial intermediate
-/// polynomial. Checkpoints therefore snapshot only at barriers.
-///
-/// Budgets: each shard holds its own BudgetLease against rewriter.terms and
-/// its own max_terms cap; on top, the summed term count is checked at every
-/// barrier, so a run that would have tripped serially still trips (possibly
-/// a segment later — budgets bound resources, they are not part of the
-/// canonical answer).
-class ShardedRewriter {
+/// The old name of the reduction chain, kept only because perfbench names
+/// it; the next benchmark change moves perfbench onto BackwardRewriter and
+/// deletes this. The shard count is ignored: there is one serial chain.
+class ShardedRewriter : public BackwardRewriter {
  public:
-  using Shard = BackwardRewriter;
-  using TermMap = BackwardRewriter::TermMap;
-
   ShardedRewriter(const Gf2k& field, std::vector<bool> substitutable,
-                  unsigned shards, std::size_t max_terms = 0,
-                  const ExecControl* control = nullptr);
+                  unsigned /*shards*/, std::size_t max_terms = 0,
+                  const ExecControl* control = nullptr)
+      : BackwardRewriter(field, std::move(substitutable), max_terms, control) {}
 
-  /// Distributes one seed term round-robin. Call in a fixed order (the
-  /// partition is deterministic given the call sequence; *any* partition
-  /// merges to the same polynomial).
-  void seed(BitMono mono, const Gf2k::Elem& coeff);
-
-  /// Substitutes gates[from, to) — in RATO order — into every shard,
-  /// concurrently. Returns at a merge barrier: all shards have applied
-  /// exactly the first `to` substitutions of the chain.
-  void run_segment(const Netlist& netlist, const std::vector<NetId>& gates,
-                   std::size_t from, std::size_t to);
-
-  /// Summed live terms across shards (≥ the merged size; XOR-cancellation
-  /// between shards only resolves at a merge).
-  std::size_t num_terms() const;
-
-  /// Summed per-shard high-water marks: an upper bound on the largest
-  /// simultaneous footprint, and exactly the serial peak when S = 1.
-  std::size_t peak_terms() const;
-
-  /// Non-destructive XOR-merge (fixed shard order) — the exact serial
-  /// intermediate polynomial at the current step; checkpoint snapshots.
-  TermMap merged() const;
-
-  /// Destructive final merge; the rewriter is spent afterwards.
-  TermMap take_merged();
-
- private:
-  void check_total_terms() const;
-
-  std::size_t max_terms_;
-  const ExecControl* control_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t next_seed_ = 0;
+  void seed(BitMono mono, const Gf2k::Elem& coeff) {
+    add(std::move(mono), coeff);
+  }
+  TermMap take_merged() { return take_terms(); }
 };
 
 /// The tail polynomial of a gate over net-id variables (multilinear form of

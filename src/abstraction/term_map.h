@@ -11,10 +11,6 @@
 // polynomial layer uses (try_emplace / find / at / erase(iterator) /
 // iteration / operator==). Two deliberate differences:
 //   * try_emplace takes the key by value (a PackedMono move is two words);
-//   * drain() replaces node-handle extraction for the deterministic shard
-//     merges — it moves every pair out in slot order and leaves the map
-//     empty. Slot order is unspecified, which is fine everywhere it is used:
-//     XOR-merging coefficients in F_{2^k} is commutative and exact.
 //
 // allocated_bytes() is exact (capacity × slot footprint), which the rewriter
 // reports to the rewriter.terms ResourceBudget site.
@@ -183,20 +179,6 @@ class PackedTermMap {
   void clear() {
     for (std::size_t i = 0; i < cap_; ++i) {
       if (ctrl_[i] == kFull) slots_[i] = value_type();
-      ctrl_[i] = kEmpty;
-    }
-    size_ = used_ = 0;
-  }
-
-  /// Moves every (key, value) out through `fn` in slot order and empties the
-  /// map. The replacement for unordered_map node extraction in the fixed
-  /// shard-order merges; see the header comment on ordering.
-  template <class Fn>
-  void drain(Fn&& fn) {
-    for (std::size_t i = 0; i < cap_; ++i) {
-      if (ctrl_[i] != kFull) continue;
-      fn(std::move(slots_[i].first), std::move(slots_[i].second));
-      slots_[i] = value_type();
       ctrl_[i] = kEmpty;
     }
     size_ = used_ = 0;

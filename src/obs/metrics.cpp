@@ -49,10 +49,6 @@ constexpr KnownMetric kKnownMetrics[] = {
     {"lift.dot_products", MetricKind::kCounter},
     {"lift.reductions", MetricKind::kCounter},
     {"lift.general_terms", MetricKind::kCounter},
-    // Chunked substitution (abstraction/rewriter.cpp): shards dispatched and
-    // terms XOR-merged back from shard-local maps.
-    {"rewriter.shards", MetricKind::kCounter},
-    {"rewriter.merge_terms", MetricKind::kCounter},
     // Canonical-form equivalence (abstraction/equivalence.cpp)
     {"equivalence.checks", MetricKind::kCounter},
     // Abstraction-engine pairs refuted by the simulation round ahead of the
@@ -115,10 +111,8 @@ constexpr KnownMetric kKnownMetrics[] = {
 /// `<name>.count/.p50/.p90/.p99` keys to snapshots once it has samples.
 constexpr const char* kKnownHistograms[] = {
     // Latency of one gate-tail substitution in the serial reduction chain
-    // (microseconds; sampled, not exhaustive — see extractor.cpp).
+    // (microseconds; sampled, not exhaustive — see rewriter.cpp).
     "rewriter.substitution_us",
-    // Terms drained from one shard-local map at a chunked-substitution merge.
-    "rewriter.merge_shard_terms",
     // Linear-probe chain length of sampled packed term-map lookups.
     "rewriter.probe_len",
     // Wall time of one isolated-worker attempt (milliseconds).

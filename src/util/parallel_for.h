@@ -44,7 +44,7 @@ void set_parallel_thread_count(unsigned n);
 
 /// Number of threads a parallel_for launched *right now* would use: the pool
 /// width at top level, 1 when already inside pool work (nested loops degrade
-/// to serial). Sizing hint for shard counts; not a reservation.
+/// to serial). Sizing hint for chunk counts; not a reservation.
 unsigned parallel_available_width();
 
 /// Runs fn(i) for i in [0, n); see the header comment for guarantees.

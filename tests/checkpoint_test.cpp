@@ -216,9 +216,9 @@ TEST(CheckpointResume, ResumedK64ExtractionMatchesTheFreshPolynomial) {
 
   // Kill the chain partway through, at a chain step: once a progress report
   // passes step 1000, cancel. Steps are counted in RATO gates, so the cut
-  // lands after the same saves at every pool width (a poll count would not:
-  // S chain shards poll about S times as often per gate). The cancel
-  // unwinds cleanly and leaves the last periodic checkpoint behind.
+  // lands after the same saves however often the chain polls its control.
+  // The cancel unwinds cleanly and leaves the last periodic checkpoint
+  // behind.
   obs::set_progress_sink([&control](const obs::Progress& p) {
     if (std::string_view(p.phase) == "reduction_chain" && p.step > 1000)
       control.cancel.request_cancel();

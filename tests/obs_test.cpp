@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "abstraction/bitpoly.h"
-#include "abstraction/rewriter.h"
 #include "abstraction/word_lift.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
@@ -382,42 +381,6 @@ TEST_F(ObsTest, SpansFromDifferentThreadsLandInDifferentLanes) {
   const auto events = Tracer::instance().events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_NE(events[0].tid, events[1].tid);
-}
-
-// Regression for the sharded-rewriter trace fix: the per-shard
-// "reduction_chain_shard" span must open inside the parallel_for worker
-// lambda, so one span is recorded per shard (stamped with the pool thread
-// that ran it). The old code opened a single span on the dispatching thread,
-// collapsing all shard work into one event in one lane.
-TEST_F(ObsTest, ShardedSubstitutionRecordsOneSpanPerShard) {
-  const unsigned restore_threads = parallel_thread_count();
-  set_parallel_thread_count(4);
-  Tracer::instance().clear();
-  set_trace_enabled(true);
-
-  const Gf2k field = Gf2k::make(8);
-  // 200 pending occurrences of v=0 exceeds kChunkedSubstitutionMin (128), so
-  // substitute() takes the chunked path with min(4, 200/64) = 3 shards.
-  constexpr VarId kV = 0;
-  constexpr std::size_t kPending = 200;
-  std::vector<bool> substitutable(kPending + 3, true);
-  BackwardRewriter rw(field, substitutable);
-  for (VarId i = 1; i <= kPending; ++i) {
-    const VarId ids[2] = {kV, i};
-    rw.add(BitMono::from_sorted(ids, 2), field.one());
-  }
-  FlatTail tail;
-  const VarId t0 = kPending + 1, t1 = kPending + 2;
-  tail.monos.push_back(BitMono::from_sorted(&t0, 1));
-  tail.monos.push_back(BitMono::from_sorted(&t1, 1));
-  rw.substitute(kV, tail);
-  EXPECT_EQ(rw.num_terms(), 2 * kPending);
-
-  std::size_t shard_spans = 0;
-  for (const auto& e : Tracer::instance().events())
-    if (e.name == "reduction_chain_shard") ++shard_spans;
-  EXPECT_EQ(shard_spans, 3u);
-  set_parallel_thread_count(restore_threads);
 }
 
 // The Case-2 lift's work counters, pinned on a lift of known shape: one
