@@ -1,5 +1,6 @@
-// Microbenchmarks of the F_{2^k} substrate: field multiplication, squaring,
-// inversion and GF(2)[x] products across the NIST sizes. Not a paper table;
+// Microbenchmarks of the F_{2^k} substrate: field construction,
+// multiplication, squaring, inversion and GF(2)[x] products across the NIST
+// sizes. Not a paper table;
 // these calibrate the constant factors underlying Tables 1 and 2 (every
 // abstraction coefficient operation is one of these).
 //
@@ -77,6 +78,15 @@ void BM_FieldPowQ(benchmark::State& state) {
   }
 }
 
+void BM_FieldBuild(benchmark::State& state) {
+  // Gf2k::try_make: the modulus (NIST table, else the low-weight search with
+  // one Rabin test per candidate) and the kernel set-up; every job pays it.
+  const unsigned k = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gfa::Gf2k::try_make(k));
+  }
+}
+
 void BM_Gf2PolyMul(benchmark::State& state) {
   const unsigned deg = static_cast<unsigned>(state.range(0));
   gfa::Gf2Poly a, b;
@@ -150,11 +160,13 @@ void write_speedup_report() {
 
 }  // namespace
 
-BENCHMARK(BM_FieldMul)->Arg(16)->Arg(64)->Arg(163)->Arg(233)->Arg(409)->Arg(571);
+BENCHMARK(BM_FieldMul)->Arg(8)->Arg(16)->Arg(64)->Arg(163)->Arg(233)->Arg(409)->Arg(571);
 BENCHMARK(BM_FieldMulGeneric)->Arg(16)->Arg(64)->Arg(163)->Arg(233)->Arg(409)->Arg(571);
 BENCHMARK(BM_FieldSquare)->Arg(64)->Arg(163)->Arg(233)->Arg(409)->Arg(571);
-BENCHMARK(BM_FieldInv)->Arg(64)->Arg(163)->Arg(233)->Arg(571);
+BENCHMARK(BM_FieldInv)->Arg(8)->Arg(16)->Arg(64)->Arg(163)->Arg(233)->Arg(571);
 BENCHMARK(BM_FieldPowQ)->Arg(64)->Arg(163)->Arg(233);
+BENCHMARK(BM_FieldBuild)->Arg(16)->Arg(64)->Arg(96)->Arg(128)->Arg(163)->Arg(256)
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Gf2PolyMul)->Arg(63)->Arg(163)->Arg(571)->Arg(2048);
 
 int main(int argc, char** argv) {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "gf2/irreducible.h"
+#include "obs/trace.h"
 
 namespace gfa {
 
@@ -19,11 +20,14 @@ Gf2k::Gf2k(Gf2Poly modulus, bool check_irreducible) : modulus_(std::move(modulus
   kernels_ = std::make_shared<const Gf2kKernels>(modulus_);
 }
 
-Gf2k Gf2k::make(unsigned k) { return Gf2k(default_irreducible(k)); }
+Gf2k Gf2k::make(unsigned k) {
+  Result<Gf2k> field = try_make(k);
+  if (!field.ok()) throw std::invalid_argument(field.status().message());
+  return std::move(field).value();
+}
 
 Result<Gf2k> Gf2k::try_make(unsigned k) {
-  // default_irreducible asserts k >= 2 (release builds would misbehave), so
-  // validate here rather than rely on the assert.
+  const obs::TraceSpan span("field_build", "gf");
   if (k < 2)
     return Status::invalid_argument("field size k must be >= 2, got " +
                                     std::to_string(k));

@@ -30,16 +30,18 @@ class Gf2k {
 
   /// Field with the given irreducible modulus (degree >= 1, else throws
   /// std::invalid_argument). When `check_irreducible` is set, throws
-  /// std::invalid_argument if the modulus is reducible; large NIST moduli are
-  /// trusted by default since the Rabin test at k = 571 is itself costly.
+  /// std::invalid_argument if the modulus is reducible; off by default, since
+  /// NIST and searched moduli are irreducible by construction.
   explicit Gf2k(Gf2Poly modulus, bool check_irreducible = false);
 
-  /// Field F_{2^k} with the default (NIST or lowest-weight) modulus.
-  static Gf2k make(unsigned k);
-
-  /// Non-throwing variant: k < 2 (no field) or k with no known low-weight
-  /// irreducible maps to kInvalidArgument instead of an assert/throw.
+  /// Field F_{2^k} with the default modulus: the NIST polynomial when k has
+  /// one, else the lowest-weight irreducible (find_low_weight_irreducible).
+  /// Traced as the "field_build" span. k < 2, or a k with no low-weight
+  /// irreducible, is kInvalidArgument.
   static Result<Gf2k> try_make(unsigned k);
+
+  /// try_make(k), throwing std::invalid_argument where it returns an error.
+  static Gf2k make(unsigned k);
 
   unsigned k() const { return k_; }
   const Gf2Poly& modulus() const { return modulus_; }
@@ -98,7 +100,7 @@ class Gf2k {
  private:
   Gf2Poly modulus_;
   unsigned k_;
-  /// Shared so field copies stay cheap (the table tier carries ~0.5 MB).
+  /// Shared so field copies stay cheap.
   std::shared_ptr<const Gf2kKernels> kernels_;
 };
 

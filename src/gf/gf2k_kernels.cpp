@@ -15,7 +15,6 @@ namespace gfa {
 
 namespace {
 
-constexpr unsigned kTableMaxK = 16;
 constexpr unsigned kSingleWordMaxK = 64;
 /// Sparse tier limits: fold cost scales with the modulus weight, and the
 /// multiply scratch lives on the stack. Dense or enormous moduli fall back to
@@ -132,24 +131,16 @@ inline std::uint64_t low_word(const Gf2Poly& p) {
   return p.words().empty() ? 0 : p.words()[0];
 }
 
-std::vector<std::uint32_t> prime_factors_u32(std::uint32_t n) {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t p = 2; p * p <= n; ++p) {
-    if (n % p == 0) {
-      out.push_back(p);
-      while (n % p == 0) n /= p;
-    }
-  }
-  if (n > 1) out.push_back(n);
-  return out;
+/// Bits k … k+63 of the 128-bit value hi·x^64 + lo, for 1 <= k <= 64.
+inline std::uint64_t shift_down(std::uint64_t lo, std::uint64_t hi,
+                                unsigned k) {
+  return k == 64 ? hi : (hi << (64 - k)) | (lo >> k);
 }
 
 }  // namespace
 
 const char* to_string(KernelTier tier) {
   switch (tier) {
-    case KernelTier::kTable:
-      return "table";
     case KernelTier::kSingleWord:
       return "single-word";
     case KernelTier::kSparseMod:
@@ -169,81 +160,33 @@ Gf2kKernels::Gf2kKernels(const Gf2Poly& modulus) : modulus_(modulus) {
       tails_.push_back(static_cast<unsigned>(i));
   elem_words_ = (k_ + 63) / 64;
 
-  if (k_ >= 2 && k_ <= kTableMaxK) {
-    tier_ = KernelTier::kTable;
-  } else if (k_ <= kSingleWordMaxK) {
+  if (k_ <= kSingleWordMaxK) {
     tier_ = KernelTier::kSingleWord;
   } else if (tails_.size() <= kMaxFoldTails && elem_words_ <= kMaxElemWords) {
     tier_ = KernelTier::kSparseMod;
   } else {
     tier_ = KernelTier::kGeneric;
   }
+  if (tier_ != KernelTier::kSingleWord) return;
 
-  if (tier_ != KernelTier::kTable) return;
-
-  // Build the discrete-log tables over a generator g of the multiplicative
-  // group: g is found by checking g^(N/p) != 1 for every prime p | N.
-  order_n_ = (std::uint32_t{1} << k_) - 1;
-  const std::vector<std::uint32_t> primes = prime_factors_u32(order_n_);
-  auto pow_bits = [&](std::uint64_t base, std::uint32_t e) {
-    std::uint64_t r = 1;
-    while (e != 0) {
-      if (e & 1) r = mul_u64(r, base);
-      base = mul_u64(base, base);
-      e >>= 1;
-    }
-    return r;
-  };
-  std::uint64_t g = 2;  // the residue of x; often already primitive
-  for (;; ++g) {
-    bool primitive = true;
-    for (std::uint32_t p : primes) {
-      if (pow_bits(g, order_n_ / p) == 1) {
-        primitive = false;
-        break;
-      }
-    }
-    if (primitive) break;
-    assert(g < order_n_ && "no generator found; modulus not irreducible?");
-  }
-
-  log_.assign(std::size_t{1} << k_, 0);
-  antilog_.assign(std::size_t{2} * order_n_, 0);
-  std::uint64_t cur = 1;
-  for (std::uint32_t i = 0; i < order_n_; ++i) {
-    antilog_[i] = static_cast<std::uint32_t>(cur);
-    antilog_[i + order_n_] = static_cast<std::uint32_t>(cur);
-    log_[cur] = i;
-    cur = mul_u64(cur, g);
-  }
-  assert(cur == 1 && "generator order mismatch");
-  log_alpha_ = log_[2];
+  for (unsigned t : tails_) p_low_ |= std::uint64_t{1} << t;
+  Gf2Poly mu = Gf2Poly::monomial(2 * k_).divmod(modulus_).quotient;
+  mu.set_coeff(k_, false);
+  mu_low_ = low_word(mu);
 }
 
 std::uint64_t Gf2kKernels::reduce_u128(std::uint64_t lo, std::uint64_t hi) const {
-  if (k_ == 64) {
-    while (hi != 0) {
-      const std::uint64_t h = hi;
-      hi = 0;
-      for (unsigned t : tails_) {
-        lo ^= t ? (h << t) : h;
-        if (t) hi ^= h >> (64 - t);
-      }
-    }
-    return lo;
-  }
-  const std::uint64_t mask = (std::uint64_t{1} << k_) - 1;
-  for (;;) {
-    // Inputs have degree <= 2k-2, so the overflow part always fits one word.
-    const std::uint64_t h = (hi << (64 - k_)) | (lo >> k_);
-    if (h == 0) return lo;
-    hi = 0;
-    lo &= mask;
-    for (unsigned t : tails_) {
-      lo ^= t ? (h << t) : h;
-      if (t) hi ^= h >> (64 - t);
-    }
-  }
+  // Barrett, exact for inputs of degree < 2k: with h = ⌊c/x^k⌋ and
+  // μ = x^k + μ_low, the quotient ⌊h·μ/x^k⌋ = h ⊕ ⌊h·μ_low/x^k⌋, and the
+  // remainder c ⊕ q·P agrees with c ⊕ q·P_low below x^k.
+  const std::uint64_t h = shift_down(lo, hi, k_);
+  std::uint64_t plo, phi;
+  clmul64(h, mu_low_, plo, phi);
+  const std::uint64_t q = h ^ shift_down(plo, phi, k_);
+  clmul64(q, p_low_, plo, phi);
+  const std::uint64_t mask =
+      k_ == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k_) - 1;
+  return (lo ^ plo) & mask;
 }
 
 std::uint64_t Gf2kKernels::mul_u64(std::uint64_t a, std::uint64_t b) const {
@@ -333,11 +276,6 @@ Gf2Poly Gf2kKernels::square_sparse(const Gf2Poly& a) const {
 
 Gf2Poly Gf2kKernels::mul(const Gf2Poly& a, const Gf2Poly& b) const {
   switch (tier_) {
-    case KernelTier::kTable: {
-      const std::uint64_t ab = low_word(a), bb = low_word(b);
-      if (ab == 0 || bb == 0) return {};
-      return Gf2Poly::from_bits(antilog_[log_[ab] + log_[bb]]);
-    }
     case KernelTier::kSingleWord:
       return Gf2Poly::from_bits(mul_u64(low_word(a), low_word(b)));
     case KernelTier::kSparseMod:
@@ -350,11 +288,6 @@ Gf2Poly Gf2kKernels::mul(const Gf2Poly& a, const Gf2Poly& b) const {
 
 Gf2Poly Gf2kKernels::square(const Gf2Poly& a) const {
   switch (tier_) {
-    case KernelTier::kTable: {
-      const std::uint64_t ab = low_word(a);
-      if (ab == 0) return {};
-      return Gf2Poly::from_bits(antilog_[std::size_t{2} * log_[ab]]);
-    }
     case KernelTier::kSingleWord:
       return Gf2Poly::from_bits(square_u64(low_word(a)));
     case KernelTier::kSparseMod:
@@ -368,8 +301,6 @@ Gf2Poly Gf2kKernels::square(const Gf2Poly& a) const {
 Gf2Poly Gf2kKernels::inv(const Gf2Poly& a) const {
   assert(!a.is_zero() && "zero has no multiplicative inverse");
   switch (tier_) {
-    case KernelTier::kTable:
-      return Gf2Poly::from_bits(antilog_[order_n_ - log_[low_word(a)]]);
     case KernelTier::kSingleWord:
       return Gf2Poly::from_bits(inv_u64(low_word(a)));
     case KernelTier::kSparseMod:
@@ -382,10 +313,6 @@ Gf2Poly Gf2kKernels::inv(const Gf2Poly& a) const {
 }
 
 Gf2Poly Gf2kKernels::alpha_pow(std::uint64_t e) const {
-  if (tier_ == KernelTier::kTable) {
-    const std::uint64_t em = e % order_n_;
-    return Gf2Poly::from_bits(antilog_[(em * log_alpha_) % order_n_]);
-  }
   const Gf2Poly base = Gf2Poly::monomial(1).mod(modulus_);
   if (e == 0) return Gf2Poly::one();
   Gf2Poly result = Gf2Poly::one();
@@ -422,7 +349,7 @@ void Gf2kKernels::dot_acc(const std::uint64_t* a, std::size_t a_stride,
 }
 
 void Gf2kKernels::reduce_acc(std::uint64_t* acc, std::uint64_t* out) const {
-  if (elem_words_ == 1) {  // the table and single-word tiers
+  if (tier_ == KernelTier::kSingleWord) {
     out[0] = reduce_u128(acc[0], acc[1]);
     return;
   }
@@ -438,7 +365,7 @@ void Gf2kKernels::reduce_acc(std::uint64_t* acc, std::uint64_t* out) const {
 
 void Gf2kKernels::square_words(const std::uint64_t* a,
                                std::uint64_t* out) const {
-  if (elem_words_ == 1) {
+  if (tier_ == KernelTier::kSingleWord) {
     out[0] = square_u64(a[0]);
     return;
   }

@@ -6,21 +6,26 @@
 // of the word lift — bottoms out in F_{2^k} multiplication.
 // The generic path (schoolbook carry-less multiply followed by long division
 // in Gf2Poly) allocates on every step; at the NIST sizes that is millions of
-// heap round-trips on the critical path. This module replaces it with three
-// specialized tiers, selected once per field at construction:
+// heap round-trips on the critical path. This module replaces it with two
+// specialized tiers and keeps it as the third, selected once per field at
+// construction:
 //
-//   kTable      k <= 16   log/antilog tables over a generator of F_{2^k}^*:
-//                         mul/square/inv/alpha_pow are O(1) lookups.
 //   kSingleWord k <= 64   elements live in one uint64_t; carry-less multiply
 //                         (PCLMUL intrinsic when compiled in, portable
-//                         shift-XOR otherwise) plus a fold reduction driven
-//                         by the modulus tail exponents.
+//                         shift-XOR otherwise) plus Barrett reduction:
+//                         μ = ⌊x^{2k}/P⌋ is fixed at construction, and
+//                         c mod P = c ⊕ ⌊⌊c/x^k⌋·μ / x^k⌋·P costs two
+//                         carry-less multiplies whatever the modulus weight.
 //   kSparseMod  k  > 64   multi-word elements; schoolbook/CLMUL multiply into
 //                         a stack scratch buffer, then an in-place word-level
 //                         shift-XOR fold: x^k ≡ Σ x^{t_i} for the tail
 //                         exponents t_i of the (trinomial/pentanomial)
 //                         modulus. No per-step allocation, no long division.
 //   kGeneric    fallback  dense or oversized moduli: Gf2Poly mul + mod.
+//
+// Every tier reduces correctly modulo any P of degree k, irreducible or not,
+// so the Rabin irreducibility test (gf2/irreducible.h) runs on these kernels
+// for each candidate modulus it tries.
 //
 // Besides the Gf2Poly operations, every tier serves word-pointer entry points
 // over flat element arrays (elem_words() little-endian words per element):
@@ -40,14 +45,14 @@
 
 namespace gfa {
 
-enum class KernelTier { kTable, kSingleWord, kSparseMod, kGeneric };
+enum class KernelTier { kSingleWord, kSparseMod, kGeneric };
 
 const char* to_string(KernelTier tier);
 
 class Gf2kKernels {
  public:
-  /// Builds the best tier for the modulus (degree k >= 1, assumed
-  /// irreducible — Gf2k validates that separately).
+  /// Builds the best tier for the modulus (degree k >= 1). Arithmetic is
+  /// exact modulo any such P; only inv() needs P irreducible.
   explicit Gf2kKernels(const Gf2Poly& modulus);
 
   KernelTier tier() const { return tier_; }
@@ -81,7 +86,7 @@ class Gf2kKernels {
   void square_words(const std::uint64_t* a, std::uint64_t* out) const;
 
  private:
-  // Single-word helpers (shared by the table builder).
+  // Single-word helpers.
   std::uint64_t mul_u64(std::uint64_t a, std::uint64_t b) const;
   std::uint64_t square_u64(std::uint64_t a) const;
   std::uint64_t inv_u64(std::uint64_t a) const;
@@ -101,13 +106,10 @@ class Gf2kKernels {
   std::vector<unsigned> tails_;
   std::size_t elem_words_ = 0;  // ceil(k / 64)
 
-  // kTable state: N = 2^k - 1; antilog_[i] = g^i for a fixed generator g,
-  // doubled to 2N entries so sums of two logs index without a modulo;
-  // log_[bits] inverts it on [1, 2^k).
-  std::uint32_t order_n_ = 0;
-  std::uint32_t log_alpha_ = 0;
-  std::vector<std::uint32_t> log_;
-  std::vector<std::uint32_t> antilog_;
+  // kSingleWord Barrett state: the modulus and μ = ⌊x^{2k}/P⌋ without their
+  // x^k term, which is implicit (and would not fit a word at k = 64).
+  std::uint64_t p_low_ = 0;
+  std::uint64_t mu_low_ = 0;
 };
 
 }  // namespace gfa

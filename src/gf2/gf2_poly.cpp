@@ -214,12 +214,6 @@ Gf2Poly Gf2Poly::mulmod(const Gf2Poly& a, const Gf2Poly& b, const Gf2Poly& m) {
   return (a * b).mod(m);
 }
 
-Gf2Poly Gf2Poly::frobenius_pow(Gf2Poly a, unsigned n, const Gf2Poly& m) {
-  a = a.mod(m);
-  for (unsigned i = 0; i < n; ++i) a = a.squared().mod(m);
-  return a;
-}
-
 std::string Gf2Poly::to_string() const {
   if (is_zero()) return "0";
   std::string out;

@@ -85,9 +85,6 @@ class Gf2Poly {
   /// (a * b) mod m, for m of degree >= 1.
   static Gf2Poly mulmod(const Gf2Poly& a, const Gf2Poly& b, const Gf2Poly& m);
 
-  /// a^(2^n) mod m via iterated squaring (Frobenius power).
-  static Gf2Poly frobenius_pow(Gf2Poly a, unsigned n, const Gf2Poly& m);
-
   bool operator==(const Gf2Poly& rhs) const = default;
 
   /// Human-readable form, e.g. "x^3 + x + 1"; "0" for the zero polynomial.

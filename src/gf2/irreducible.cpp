@@ -1,7 +1,11 @@
 #include "gf2/irreducible.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
+
+#include "gf/gf2k_kernels.h"
+#include "obs/metrics.h"
 
 namespace gfa {
 
@@ -28,15 +32,28 @@ bool is_irreducible(const Gf2Poly& f) {
   // A polynomial with zero constant term is divisible by x.
   if (!f.coeff(0)) return false;
   const unsigned n = static_cast<unsigned>(deg);
-  const Gf2Poly x = Gf2Poly::monomial(1);
 
   // Rabin: f irreducible <=> x^(2^n) == x (mod f), and for every prime p | n,
-  // gcd(x^(2^(n/p)) - x, f) == 1. Subtraction is XOR over GF(2).
-  for (unsigned p : prime_factors(n)) {
-    const Gf2Poly xp = Gf2Poly::frobenius_pow(x, n / p, f);
-    if (!Gf2Poly::gcd(xp + x, f).is_one()) return false;
+  // gcd(x^(2^(n/p)) - x, f) == 1. Subtraction is XOR over GF(2). The kernels
+  // reduce modulo any f, so the n squarings run on flat words; x^(2^(n/p))
+  // is kept on the way for each p.
+  const Gf2kKernels kernels(f);
+  const std::size_t w = kernels.elem_words();
+  const std::vector<unsigned> primes = prime_factors(n);
+  std::vector<std::uint64_t> x(w, 0), cur(w, 0), kept(primes.size() * w);
+  x[0] = cur[0] = 2;  // deg f >= 2, so x is already reduced
+  for (unsigned i = 1; i <= n; ++i) {
+    kernels.square_words(cur.data(), cur.data());
+    for (std::size_t p = 0; p < primes.size(); ++p)
+      if (n / primes[p] == i) std::copy(cur.begin(), cur.end(), &kept[p * w]);
   }
-  return Gf2Poly::frobenius_pow(x, n, f) == x.mod(f);
+  if (cur != x) return false;
+  for (std::size_t p = 0; p < primes.size(); ++p) {
+    kept[p * w] ^= 2;
+    if (!Gf2Poly::gcd(Gf2Poly::from_words(&kept[p * w], w), f).is_one())
+      return false;
+  }
+  return true;
 }
 
 std::optional<Gf2Poly> nist_polynomial(unsigned k) {
@@ -58,27 +75,24 @@ std::optional<Gf2Poly> nist_polynomial(unsigned k) {
 
 std::optional<Gf2Poly> find_low_weight_irreducible(unsigned k) {
   assert(k >= 2);
-  // Trinomials x^k + x^a + 1.
-  for (unsigned a = 1; a < k; ++a) {
-    Gf2Poly f = Gf2Poly::from_exponents({k, a, 0});
-    if (is_irreducible(f)) return f;
+  // Trinomials x^k + x^a + 1; by Swan's theorem (1962) every one of them is
+  // reducible when 8 | k.
+  if (k % 8 != 0) {
+    for (unsigned a = 1; a < k; ++a) {
+      Gf2Poly f = Gf2Poly::from_exponents({k, a, 0});
+      GFA_COUNT("gf.irreducibility_tests", 1);
+      if (is_irreducible(f)) return f;
+    }
   }
   // Pentanomials x^k + x^a + x^b + x^c + 1.
   for (unsigned a = 3; a < k; ++a)
     for (unsigned b = 2; b < a; ++b)
       for (unsigned c = 1; c < b; ++c) {
         Gf2Poly f = Gf2Poly::from_exponents({k, a, b, c, 0});
+        GFA_COUNT("gf.irreducibility_tests", 1);
         if (is_irreducible(f)) return f;
       }
   return std::nullopt;
-}
-
-Gf2Poly default_irreducible(unsigned k) {
-  assert(k >= 2);
-  if (auto nist = nist_polynomial(k)) return *nist;
-  auto found = find_low_weight_irreducible(k);
-  assert(found.has_value() && "no low-weight irreducible found");
-  return *found;
 }
 
 }  // namespace gfa

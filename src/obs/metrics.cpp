@@ -27,6 +27,10 @@ constexpr KnownMetric kKnownMetrics[] = {
     // substitution of the RATO backward-rewriting chain (abstraction,
     // ideal-membership) and one per division step inside normal_form.
     {"reduction_steps", MetricKind::kCounter},
+    // Candidate moduli the low-weight irreducible search put through the
+    // Rabin test while building a field (gf2/irreducible.cpp); 0 for a k
+    // with a NIST polynomial.
+    {"gf.irreducibility_tests", MetricKind::kCounter},
     // normal_form (poly/mpoly.cpp)
     {"normal_form.calls", MetricKind::kCounter},
     {"normal_form.peak_terms", MetricKind::kGauge},

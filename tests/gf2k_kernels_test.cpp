@@ -1,8 +1,8 @@
 // Differential tests pinning the tiered fast kernels (gf/gf2k_kernels.h)
-// against the generic Gf2Poly path: every tier — table (k <= 16), single-word
-// (k <= 64), sparse-modulus fold (NIST sizes) — must agree with schoolbook
-// multiply + long division on random elements, including the 16->17 and
-// 64->65 tier boundaries.
+// against the generic Gf2Poly path: every tier — single-word Barrett
+// (k <= 64), sparse-modulus fold (NIST sizes), generic (dense moduli) — must
+// agree with schoolbook multiply + long division, exhaustively at small k,
+// on random elements elsewhere, and across the 64->65 tier boundary.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include "gf/gf2k.h"
 #include "gf/gf2k_kernels.h"
 #include "gf2/irreducible.h"
+#include "rabin_oracle.h"
+#include "test_util.h"
 
 namespace gfa {
 namespace {
@@ -153,7 +155,7 @@ TEST_P(FlatKernels, WordPointerEntryPointsMatchFieldMul) {
   expect_flat_kernels_match(Gf2k::make(GetParam()));
 }
 
-// Table: 8, 16; single-word: 32, 64; sparse-mod: 96, 163, 233, 571.
+// Single-word: 8, 16, 32, 64; sparse-mod: 96, 163, 233, 571.
 INSTANTIATE_TEST_SUITE_P(Tiers, FlatKernels,
                          ::testing::Values(8u, 16u, 32u, 64u, 96u, 163u, 233u,
                                            571u));
@@ -169,8 +171,8 @@ TEST(FlatKernelsGeneric, WordPointerEntryPointsMatchFieldMul) {
 }
 
 TEST(KernelTier, SelectionMatchesFieldSize) {
-  EXPECT_EQ(Gf2k::make(8).kernel_tier(), KernelTier::kTable);
-  EXPECT_EQ(Gf2k::make(16).kernel_tier(), KernelTier::kTable);
+  EXPECT_EQ(Gf2k::make(8).kernel_tier(), KernelTier::kSingleWord);
+  EXPECT_EQ(Gf2k::make(16).kernel_tier(), KernelTier::kSingleWord);
   EXPECT_EQ(Gf2k::make(17).kernel_tier(), KernelTier::kSingleWord);
   EXPECT_EQ(Gf2k::make(64).kernel_tier(), KernelTier::kSingleWord);
   EXPECT_EQ(Gf2k::make(65).kernel_tier(), KernelTier::kSparseMod);
@@ -192,16 +194,67 @@ TEST(KernelTier, DenseModulusFallsBackToGeneric) {
   EXPECT_EQ(field.mul(a, b), Gf2Poly::mulmod(a, b, m));
 }
 
-TEST(KernelTier, TableMulMatchesBruteForceExhaustively) {
-  // k = 4: check the whole multiplication table against the generic path.
-  const Gf2k field = Gf2k::make(4);
+/// mul, square and (when asked) inv of the single-word tier against
+/// (a*b) mod P.
+void expect_single_word_matches(const Gf2k& field, std::uint64_t a,
+                                std::uint64_t b, bool check_inv = true) {
   const Gf2Poly& m = field.modulus();
-  for (std::uint64_t a = 0; a < 16; ++a)
-    for (std::uint64_t b = 0; b < 16; ++b) {
-      const Gf2Poly pa = Gf2Poly::from_bits(a), pb = Gf2Poly::from_bits(b);
-      ASSERT_EQ(field.mul(pa, pb), Gf2Poly::mulmod(pa, pb, m))
-          << "a=" << a << " b=" << b;
+  const Gf2Poly pa = Gf2Poly::from_bits(a), pb = Gf2Poly::from_bits(b);
+  ASSERT_EQ(field.mul(pa, pb), (pa * pb).mod(m))
+      << "mul a=" << a << " b=" << b << " mod " << m.to_string();
+  ASSERT_EQ(field.square(pa), (pa * pa).mod(m))
+      << "square a=" << a << " mod " << m.to_string();
+  if (check_inv && a != 0) {
+    ASSERT_EQ((field.inv(pa) * pa).mod(m), Gf2Poly::one())
+        << "inv a=" << a << " mod " << m.to_string();
+  }
+}
+
+TEST(KernelTier, SingleWordMatchesBruteForceExhaustively) {
+  // Every pair of elements at k = 2..8.
+  for (unsigned k = 2; k <= 8; ++k) {
+    const Gf2k field = Gf2k::make(k);
+    ASSERT_EQ(field.kernel_tier(), KernelTier::kSingleWord);
+    for (std::uint64_t a = 0; a < (1u << k); ++a)
+      for (std::uint64_t b = 0; b < (1u << k); ++b)
+        ASSERT_NO_FATAL_FAILURE(expect_single_word_matches(field, a, b));
+  }
+}
+
+/// A dense irreducible of degree k: the first random x^k + tail + 1 that
+/// passes both the Rabin test and its heap-arithmetic oracle.
+Gf2Poly dense_irreducible(unsigned k, test::Rng& rng) {
+  for (;;) {
+    Gf2Poly f = Gf2Poly::from_bits(rng.next() | 1);
+    for (unsigned i = k; i < 64; ++i) f.set_coeff(i, false);
+    f.set_coeff(k, true);
+    if (f.weight() > 24 && is_irreducible(f)) {
+      EXPECT_TRUE(test::oracle_is_irreducible(f)) << f.to_string();
+      return f;
     }
+  }
+}
+
+TEST(KernelTier, SingleWordMatchesBruteForceOnRandomPairs) {
+  // 10^4 random pairs per k, Barrett at every k of the tier, plus dense
+  // moduli of degree 63 and 64: at k = 64 both x^64 terms (of P and of
+  // μ = ⌊x^128/P⌋) are implicit.
+  test::Rng rng(0x5EED);
+  std::vector<Gf2k> fields;
+  for (unsigned k = 9; k <= 64; ++k) fields.push_back(Gf2k::make(k));
+  fields.emplace_back(dense_irreducible(63, rng));
+  fields.emplace_back(dense_irreducible(64, rng));
+  for (const Gf2k& field : fields) {
+    ASSERT_EQ(field.kernel_tier(), KernelTier::kSingleWord);
+    const std::uint64_t mask = field.k() == 64
+                                   ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << field.k()) - 1;
+    for (int i = 0; i < 10000; ++i) {
+      const std::uint64_t a = rng.next() & mask, b = rng.next() & mask;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_single_word_matches(field, a, b, /*check_inv=*/i % 64 == 0));
+    }
+  }
 }
 
 TEST(Gf2kConstruction, ReducibleModulusThrows) {

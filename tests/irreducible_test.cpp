@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "gf/gf2k.h"
+#include "rabin_oracle.h"
+
 namespace gfa {
 namespace {
 
@@ -49,6 +55,58 @@ TEST(Irreducible, MatchesBruteForceUpToDegree10) {
   }
 }
 
+TEST(Irreducible, WordKernelTestMatchesOracleUpToDegree13) {
+  // Every polynomial of degree 2..13 with a constant term; the others are
+  // divisible by x and rejected before any squaring.
+  for (int deg = 2; deg <= 13; ++deg) {
+    for (std::uint64_t f = (1ull << deg) | 1; f < (2ull << deg); f += 2) {
+      const Gf2Poly fp = Gf2Poly::from_bits(f);
+      ASSERT_EQ(is_irreducible(fp), test::oracle_is_irreducible(fp))
+          << "mismatch on " << fp.to_string();
+    }
+  }
+}
+
+TEST(Irreducible, CountPerDegreeMatchesGaussFormula) {
+  // Gauss: there are (1/n)·Σ_{d | n} μ(d)·2^{n/d} irreducibles of degree n.
+  auto moebius = [](unsigned d) {
+    int mu = 1;
+    for (unsigned p = 2; p * p <= d; ++p) {
+      if (d % p != 0) continue;
+      d /= p;
+      if (d % p == 0) return 0;
+      mu = -mu;
+    }
+    return d > 1 ? -mu : mu;
+  };
+  for (unsigned n = 2; n <= 13; ++n) {
+    std::int64_t sum = 0;
+    for (unsigned d = 1; d <= n; ++d)
+      if (n % d == 0) sum += moebius(d) * (std::int64_t{1} << (n / d));
+    std::int64_t count = 0;
+    for (std::uint64_t f = (1ull << n) | 1; f < (2ull << n); f += 2)
+      count += is_irreducible(Gf2Poly::from_bits(f));
+    EXPECT_EQ(count, sum / n) << "degree " << n;
+  }
+}
+
+TEST(Irreducible, LowWeightSearchMatchesOracleSearch) {
+  // Pins the Swan filter (no trinomial is tried when 8 | k) and the default
+  // moduli: the oracle search tries every trinomial.
+  std::vector<unsigned> ks;
+  for (unsigned k = 2; k <= 130; ++k) ks.push_back(k);
+  ks.push_back(192);
+  ks.push_back(256);
+  for (unsigned k : ks) {
+    const auto found = find_low_weight_irreducible(k);
+    const auto oracle = test::oracle_low_weight_irreducible(k);
+    ASSERT_TRUE(oracle.has_value()) << "k=" << k;
+    ASSERT_TRUE(found.has_value()) << "k=" << k;
+    EXPECT_EQ(*found, *oracle) << "k=" << k << ": " << found->to_string()
+                               << " vs " << oracle->to_string();
+  }
+}
+
 TEST(Irreducible, NistPolynomialsAreIrreducible) {
   for (unsigned k : {163u, 233u, 283u, 409u, 571u}) {
     auto p = nist_polynomial(k);
@@ -61,7 +119,7 @@ TEST(Irreducible, NistPolynomialsAreIrreducible) {
 
 TEST(Irreducible, DefaultIrreducibleEveryKUpTo128) {
   for (unsigned k = 2; k <= 128; ++k) {
-    const Gf2Poly p = default_irreducible(k);
+    const Gf2Poly p = Gf2k::make(k).modulus();
     EXPECT_EQ(p.degree(), static_cast<int>(k));
     EXPECT_LE(p.weight(), 5) << "expected trinomial or pentanomial at k=" << k;
     EXPECT_TRUE(is_irreducible(p)) << "k=" << k;

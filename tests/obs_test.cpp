@@ -94,8 +94,32 @@ TEST_F(ObsTest, KnownMetricSchemaIsPreRegistered) {
         "lift.reductions", "lift.general_terms", "sat.conflicts",
         "bdd.cache_hits",
         "fraig.merges", "parallel.items", "verify.sim_refutations",
-        "worker.reap_signals"}) {
+        "worker.reap_signals", "gf.irreducibility_tests"}) {
     EXPECT_TRUE(snap.count(name)) << "missing pre-registered metric " << name;
+  }
+}
+
+TEST_F(ObsTest, FieldBuildIsOneSpanAndCountsItsCandidates) {
+  set_metrics_enabled(true);
+  set_trace_enabled(true);
+  Metrics::instance().reset_all();
+  Tracer::instance().clear();
+  // k = 96: the 95 trinomials are skipped (8 | k, Swan's theorem), and the
+  // 118th pentanomial, x^96 + x^10 + x^9 + x^6 + 1, is the first irreducible.
+  const Result<Gf2k> f96 = Gf2k::try_make(96);
+  ASSERT_TRUE(f96.ok());
+  EXPECT_EQ(f96->modulus(), Gf2Poly::from_exponents({96, 10, 9, 6, 0}));
+  EXPECT_EQ(Metrics::instance().counter("gf.irreducibility_tests").value(),
+            118u);
+  Metrics::instance().reset_all();
+  // A NIST size takes its polynomial from the table: nothing is tested.
+  ASSERT_TRUE(Gf2k::try_make(163).ok());
+  EXPECT_EQ(Metrics::instance().counter("gf.irreducibility_tests").value(), 0u);
+  const auto events = Tracer::instance().events();
+  ASSERT_EQ(events.size(), 2u);
+  for (const auto& e : events) {
+    EXPECT_EQ(e.name, "field_build");
+    EXPECT_EQ(e.category, "gf");
   }
 }
 
