@@ -1,94 +1,17 @@
 #include "abstraction/equivalence.h"
 
 #include <algorithm>
-#include <atomic>
-#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "abstraction/word_lift.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/parallel_for.h"
 
 namespace gfa {
 
 namespace {
-
-/// Term count above which the coefficient-wise comparison work (remapping,
-/// equality) fans out across the pool. Multiplier canonical forms are tiny
-/// (G = A·B is one term) but ECC point formulas and fault shapes are not.
-constexpr std::size_t kParallelMatchMin = 1024;
-
-/// Remaps f.g's word variables into `target` ids by name. Returns false if
-/// some word of f has no counterpart.
-bool remap_into(const WordFunction& f, const VarPool& target, MPoly* out) {
-  std::map<VarId, VarId> vmap;
-  for (const std::string& w : f.input_words) {
-    if (!target.contains(w)) return false;
-    vmap.emplace(f.pool.id(w), target.id(w));
-  }
-  std::vector<const std::pair<const Monomial, Gf2k::Elem>*> terms;
-  terms.reserve(f.g.num_terms());
-  for (const auto& term : f.g.terms()) terms.push_back(&term);
-  // Each term remaps independently; above the threshold the terms are
-  // strided over the pool into chunk-private polynomials merged in fixed
-  // chunk order (addition never collides — remapping is injective on
-  // monomials — so this equals the serial accumulation).
-  const std::size_t chunks =
-      terms.size() >= kParallelMatchMin
-          ? std::min<std::size_t>(parallel_available_width(), terms.size())
-          : 1;
-  std::vector<MPoly> partial(chunks, MPoly(&f.g.field()));
-  std::atomic<bool> unbound{false};
-  parallel_for(chunks, [&](std::size_t chunk) {
-    MPoly local(&f.g.field());
-    for (std::size_t i = chunk; i < terms.size(); i += chunks) {
-      const auto& [mono, coeff] = *terms[i];
-      std::vector<std::pair<VarId, BigUint>> pairs;
-      pairs.reserve(mono.factors().size());
-      for (const auto& [v, e] : mono.factors()) {
-        auto it = vmap.find(v);
-        if (it == vmap.end()) {
-          unbound.store(true, std::memory_order_relaxed);
-          return;
-        }
-        pairs.emplace_back(it->second, e);
-      }
-      local.add_term(Monomial::from_pairs(std::move(pairs)), coeff);
-    }
-    partial[chunk] = std::move(local);
-  });
-  if (unbound.load(std::memory_order_relaxed)) return false;
-  *out = MPoly(&f.g.field());
-  for (MPoly& p : partial) *out += p;
-  return true;
-}
-
-/// Coefficient-wise equality; large polynomials compare chunk-parallel.
-/// Both term lists come from std::map iteration, so index i holds the same
-/// rank monomial on both sides and chunks are independent.
-bool mpoly_equal(const MPoly& g1, const MPoly& g2) {
-  if (g1.num_terms() != g2.num_terms()) return false;
-  if (g1.num_terms() < kParallelMatchMin) return g1 == g2;
-  std::vector<const std::pair<const Monomial, Gf2k::Elem>*> t1, t2;
-  t1.reserve(g1.num_terms());
-  t2.reserve(g2.num_terms());
-  for (const auto& t : g1.terms()) t1.push_back(&t);
-  for (const auto& t : g2.terms()) t2.push_back(&t);
-  const std::size_t chunks =
-      std::min<std::size_t>(parallel_available_width(), t1.size());
-  std::atomic<bool> differ{false};
-  parallel_for(chunks, [&](std::size_t chunk) {
-    for (std::size_t i = chunk; i < t1.size(); i += chunks) {
-      if (differ.load(std::memory_order_relaxed)) return;
-      if (t1[i]->first != t2[i]->first || t1[i]->second != t2[i]->second) {
-        differ.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
-  return !differ.load(std::memory_order_relaxed);
-}
 
 std::string describe_difference(const Gf2k& field, const VarPool& pool,
                                 const MPoly& g1, const MPoly& g2) {
@@ -110,6 +33,25 @@ std::string describe_difference(const Gf2k& field, const VarPool& pool,
 
 }  // namespace
 
+Result<MPoly> remap_by_name(const MPoly& g, const VarPool& from,
+                            const VarPool& to) {
+  MPoly out(&g.field());
+  for (const auto& [mono, coeff] : g.terms()) {
+    std::vector<std::pair<VarId, BigUint>> pairs;
+    pairs.reserve(mono.factors().size());
+    for (const auto& [v, e] : mono.factors()) {
+      const std::string& name = from.name(v);
+      if (!to.contains(name))
+        return Status::invalid_argument(
+            "the circuits' input words differ: no word named '" + name +
+            "' on the other side");
+      pairs.emplace_back(to.id(name), e);
+    }
+    out.add_term(Monomial::from_pairs(std::move(pairs)), coeff);
+  }
+  return out;
+}
+
 bool same_word_function(const WordFunction& f1, const WordFunction& f2,
                         std::string* difference) {
   std::vector<std::string> w1 = f1.input_words, w2 = f2.input_words;
@@ -119,14 +61,14 @@ bool same_word_function(const WordFunction& f1, const WordFunction& f2,
     if (difference) *difference = "input word names differ";
     return false;
   }
-  MPoly g2(&f2.g.field());
-  if (!remap_into(f2, f1.pool, &g2)) {
+  const Result<MPoly> g2 = remap_by_name(f2.g, f2.pool, f1.pool);
+  if (!g2.ok()) {
     if (difference) *difference = "input word names differ";
     return false;
   }
-  if (mpoly_equal(f1.g, g2)) return true;
+  if (f1.g == *g2) return true;
   if (difference)
-    *difference = describe_difference(f1.g.field(), f1.pool, f1.g, g2);
+    *difference = describe_difference(f1.g.field(), f1.pool, f1.g, *g2);
   return false;
 }
 

@@ -23,6 +23,11 @@ struct EquivalenceResult {
   std::string difference;
 };
 
+/// Rewrites `g` (over `from` variable ids) into `to` ids by variable name;
+/// kInvalidArgument names the first variable `to` does not declare.
+Result<MPoly> remap_by_name(const MPoly& g, const VarPool& from,
+                            const VarPool& to);
+
 /// Compares two word functions (possibly over different pools) by input word
 /// *names*. Returns true iff they denote the same polynomial function; when
 /// `difference` is non-null it receives a diff description on mismatch.

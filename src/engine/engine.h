@@ -39,7 +39,7 @@ enum class Verdict {
 const char* verdict_name(Verdict v);
 
 /// Inverse of verdict_name(); unknown spellings are kInvalidArgument. Used by
-/// the worker protocol (src/worker/) to decode a verdict off the wire.
+/// read_verdict() (engine/report.h) to decode a verdict off the wire.
 Result<Verdict> verdict_from_name(std::string_view name);
 
 struct RunOptions {
@@ -104,7 +104,9 @@ struct RunOptions {
   /// Cross-check a kEquivalent verdict by random simulation of both circuits
   /// (src/certify/certify.h) after the engine returns. A disagreement is
   /// kCertificationFailed (exit 73) — a loud internal error, never a silent
-  /// wrong answer. Enacted by run_engine(), not by individual engines.
+  /// wrong answer. Enacted by run_engine(), not by individual engines; a
+  /// portfolio's attempts run with it off, so only the portfolio's own
+  /// verdict is cross-checked.
   bool certify = false;
 };
 
@@ -139,8 +141,9 @@ struct VerifyResult {
   /// Typed witness for kNotEquivalent: the distinguishing input as field
   /// elements, replayed through the bit-parallel simulator. Engines with a
   /// native witness (abstraction's Schwartz–Zippel point, SAT/BDD/fraig
-  /// models) fill it directly; run_engine() backfills the rest by
-  /// simulation search. Empty otherwise.
+  /// models) fill it directly, the portfolio carries its deciding
+  /// attempt's, and run_engine() backfills the rest by simulation search.
+  /// Empty otherwise.
   certify::Counterexample counterexample;
   /// Engine-specific counters (substitutions, conflicts, nodes, …), flat for
   /// direct serialization into run reports.

@@ -32,25 +32,6 @@ namespace gfa::engine {
 
 namespace {
 
-/// Remaps `g` (over `from` variable ids) into `to` ids by variable name.
-/// Throws std::invalid_argument when a name is missing from `to`.
-MPoly remap_by_name(const MPoly& g, const VarPool& from, VarPool& to) {
-  MPoly out(&g.field());
-  for (const auto& [mono, coeff] : g.terms()) {
-    std::vector<std::pair<VarId, BigUint>> pairs;
-    pairs.reserve(mono.factors().size());
-    for (const auto& [v, e] : mono.factors()) {
-      const std::string& name = from.name(v);
-      if (!to.contains(name))
-        throw std::invalid_argument("implementation declares no word named '" +
-                                    name + "'");
-      pairs.emplace_back(to.id(name), e);
-    }
-    out.add_term(Monomial::from_pairs(std::move(pairs)), coeff);
-  }
-  return out;
-}
-
 /// Replays a machine witness and attaches the typed counterexample.
 /// Best-effort: a failure to replay leaves the result untouched, and
 /// run_engine() backfills by simulation search.
@@ -382,10 +363,10 @@ class FullGbEngine final : public EquivEngine {
                      "was isolated";
         return out;
       }
-      VarPool pool = rs.pool;
-      const MPoly gi = remap_by_name(ri.g, ri.pool, pool);
+      const Result<MPoly> gi = remap_by_name(ri.g, ri.pool, rs.pool);
+      if (!gi.ok()) return gi.status();
       out.verdict =
-          rs.g == gi ? Verdict::kEquivalent : Verdict::kNotEquivalent;
+          rs.g == *gi ? Verdict::kEquivalent : Verdict::kNotEquivalent;
       if (out.verdict == Verdict::kNotEquivalent)
         out.detail = "extracted word polynomials differ";
       return out;
@@ -422,7 +403,9 @@ class IdealMembershipEngine final : public EquivEngine {
       const IdealMembershipResult r = verify_by_ideal_membership(
           impl, field,
           [&](const Gf2k*, VarPool& pool) {
-            return remap_by_name(spec_fn->g, spec_fn->pool, pool);
+            Result<MPoly> g = remap_by_name(spec_fn->g, spec_fn->pool, pool);
+            if (!g.ok()) throw StatusError(g.status());
+            return std::move(*g);
           },
           io);
       VerifyResult out;

@@ -19,6 +19,10 @@
 //    portfolio with that status — attempt history goes into the message.
 //  - Racing mode runs the attempts concurrently via parallel_for; the first
 //    definitive verdict by list position wins and cancels the rest.
+//  - The deciding attempt's verdict, detail and counterexample become the
+//    portfolio's. Attempts never certify (in-process or isolated): the
+//    portfolio's own run_engine() certifies its final verdict once, so a
+//    certification failure is the run's status, never a fall-through.
 
 #include <algorithm>
 #include <atomic>
@@ -42,17 +46,6 @@ namespace {
 
 bool definitive(const EngineRun& run) {
   return run.status.ok() && run.verdict != Verdict::kUnknown;
-}
-
-AttemptRecord record_of(const EngineRun& run) {
-  AttemptRecord a;
-  a.engine = run.engine;
-  a.status = run.status;
-  a.verdict = run.verdict;
-  a.detail = run.detail;
-  a.wall_ms = run.wall_ms;
-  a.budget_peak_bytes = run.budget_peak_bytes;
-  return a;
 }
 
 AttemptRecord skipped_record(std::string engine, std::string why) {
@@ -124,13 +117,16 @@ class PortfolioEngine final : public EquivEngine {
   }
 
  private:
-  /// Per-attempt options: the parent's cancel token and deadline (tightened
-  /// by attempt_timeout_seconds), a budget slot run_engine() will fill from
-  /// memory_budget_bytes, and no portfolio recursion.
+  /// Per-attempt options, in-process and isolated alike: the parent's cancel
+  /// token and deadline (tightened by attempt_timeout_seconds), a budget
+  /// slot run_engine() will fill from memory_budget_bytes, no portfolio
+  /// recursion, and no certification — the portfolio's own run_engine()
+  /// certifies the final verdict once.
   static RunOptions attempt_options(const RunOptions& options) {
     RunOptions ao = options;
     ao.portfolio_engines.clear();
     ao.portfolio_race = false;
+    ao.certify = false;
     ao.control.budget = nullptr;  // run_engine installs a fresh one
     if (options.attempt_timeout_seconds > 0.0) {
       const Deadline local = Deadline::after(options.attempt_timeout_seconds);
@@ -138,36 +134,6 @@ class PortfolioEngine final : public EquivEngine {
         ao.control.deadline = local;
     }
     return ao;
-  }
-
-  /// Builds the worker request for one isolated attempt: the attempt's
-  /// engine plus the shared limits; the wall clock is the tighter of the
-  /// per-attempt timeout and what remains of the overall deadline.
-  static worker::WorkerRequest worker_request_of(const RunOptions& options,
-                                                 const std::string& engine,
-                                                 unsigned k) {
-    worker::WorkerRequest req;
-    req.spec_path = options.worker_spec_path;
-    req.impl_path = options.worker_impl_path;
-    req.k = k;
-    req.engine = engine;
-    double timeout = options.attempt_timeout_seconds;
-    if (!options.control.deadline.is_infinite()) {
-      const double left =
-          std::max(0.001, options.control.deadline.remaining_seconds());
-      timeout = timeout > 0 ? std::min(timeout, left) : left;
-    }
-    req.timeout_seconds = timeout;
-    req.sat_conflict_limit = options.sat_conflict_limit;
-    req.bdd_node_limit = options.bdd_node_limit;
-    req.max_terms = options.max_terms;
-    req.gb_max_reductions = options.gb_max_reductions;
-    req.gb_max_poly_terms = options.gb_max_poly_terms;
-    req.memory_budget_bytes = options.memory_budget_bytes;
-    req.checkpoint_dir = options.checkpoint_dir;
-    req.checkpoint_interval = options.checkpoint_interval;
-    req.checkpoint_resume = options.checkpoint_resume;
-    return req;
   }
 
   Result<VerifyResult> escalate(const std::vector<const EquivEngine*>& engines,
@@ -192,8 +158,16 @@ class PortfolioEngine final : public EquivEngine {
         // A forked worker owns its whole address space; a crash (or rlimit
         // trip) in one engine is an attempt-local kWorkerCrashed that falls
         // through to the next, exactly like a mem-out does in-process.
-        run = worker::run_in_worker(worker_request_of(options, names[i],
-                                                      field.k()));
+        worker::WorkerRequest req;
+        req.spec_path = options.worker_spec_path;
+        req.impl_path = options.worker_impl_path;
+        req.k = field.k();
+        req.engine = names[i];
+        req.options = attempt_options(options);
+        const Deadline& deadline = req.options.control.deadline;
+        if (!deadline.is_infinite())
+          req.timeout_seconds = std::max(0.001, deadline.remaining_seconds());
+        run = worker::run_in_worker(req);
       } else {
         // The portfolio owns each attempt's budget (rather than letting
         // run_engine wrap one) so it can verify the attempt released every
@@ -210,7 +184,7 @@ class PortfolioEngine final : public EquivEngine {
       }
       ++ran;
       if (run.resumed) out.resumed = true;
-      out.attempts.push_back(record_of(run));
+      out.attempts.push_back(attempt_record_of(run));
       if (definitive(run)) {
         GFA_COUNT("portfolio.attempts", ran);
         for (std::size_t j = i + 1; j < engines.size(); ++j)
@@ -218,6 +192,7 @@ class PortfolioEngine final : public EquivEngine {
               names[j], names[i] + " already produced a verdict"));
         out.verdict = run.verdict;
         out.detail = names[i] + (run.detail.empty() ? "" : ": " + run.detail);
+        out.counterexample = std::move(run.counterexample);
         finish_stats(out, ran, leaked_bytes);
         return out;
       }
@@ -281,7 +256,7 @@ class PortfolioEngine final : public EquivEngine {
       race_cancel.request_cancel();
       std::vector<AttemptRecord> attempts;
       for (std::size_t i = 0; i < engines.size(); ++i)
-        attempts.push_back(runs[i] ? record_of(*runs[i])
+        attempts.push_back(runs[i] ? attempt_record_of(*runs[i])
                                    : skipped_record(names[i],
                                                     e.status.to_string()));
       return Status::with_code(e.status.code(), e.status.message() +
@@ -294,7 +269,7 @@ class PortfolioEngine final : public EquivEngine {
     for (std::size_t i = 0; i < engines.size(); ++i) {
       if (runs[i]) {
         ++ran;
-        out.attempts.push_back(record_of(*runs[i]));
+        out.attempts.push_back(attempt_record_of(*runs[i]));
         if (winner == engines.size() && definitive(*runs[i])) winner = i;
       } else {
         out.attempts.push_back(
@@ -304,10 +279,11 @@ class PortfolioEngine final : public EquivEngine {
     for (const std::optional<EngineRun>& r : runs)
       if (r && r->resumed) out.resumed = true;
     if (winner < engines.size()) {
-      const EngineRun& run = *runs[winner];
+      EngineRun& run = *runs[winner];
       out.verdict = run.verdict;
       out.detail =
           names[winner] + (run.detail.empty() ? "" : ": " + run.detail);
+      out.counterexample = std::move(run.counterexample);
       finish_stats(out, ran, leaked.load(std::memory_order_relaxed));
       return out;
     }

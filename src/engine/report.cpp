@@ -8,6 +8,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/parallel_for.h"
 
@@ -20,6 +21,8 @@ namespace {
 /// needs (or a witness evading the random search) leave the record as-is.
 void backfill_counterexample(EngineRun& run, const Netlist& spec,
                              const Netlist& impl, const Gf2k& field) {
+  const obs::TraceSpan span("witness_backfill", "engine");
+  GFA_COUNT("witness.backfills", 1);
   try {
     const std::optional<certify::Witness> w =
         certify::find_simulation_witness(spec, impl, field);
@@ -36,12 +39,15 @@ void backfill_counterexample(EngineRun& run, const Netlist& spec,
 /// kCertificationFailed and attaches the flight-recorder tail.
 void certify_run(EngineRun& run, const Netlist& spec, const Netlist& impl,
                  const Gf2k& field) {
+  const obs::TraceSpan span("certify", "engine");
   certify::CertifyOutcome outcome;
   try {
     outcome = certify::certify_equivalence(spec, impl, field);
   } catch (...) {
     return;  // malformed word structure: nothing to cross-check
   }
+  GFA_COUNT("certify.runs", 1);
+  GFA_COUNT("certify.points", outcome.points);
   run.stats["certify_points"] = static_cast<double>(outcome.points);
   if (outcome.status.ok()) return;
   run.status = outcome.status;
@@ -143,30 +149,14 @@ void write_run_report(std::ostream& out, const std::string& tool, unsigned k,
   for (const EngineRun& run : runs) {
     w.begin_object();
     w.member("engine", run.engine);
-    w.member("status", status_code_name(run.status.code()));
+    write_status(w, run.status, /*with_message=*/false);
     if (run.status.ok()) w.member("verdict", verdict_name(run.verdict));
     w.member("detail", run.detail);
-    if (!run.counterexample.empty()) {
-      w.key("counterexample");
-      w.begin_object();
-      w.key("inputs");
-      w.begin_object();
-      for (const auto& [name, elem] : run.counterexample.inputs)
-        w.member(name, elem);
-      w.end_object();
-      w.member("output_word", run.counterexample.output_word);
-      w.member("expected", run.counterexample.expected);
-      w.member("actual", run.counterexample.actual);
-      w.member("replayed", run.counterexample.replayed);
-      w.end_object();
-    }
+    write_counterexample(w, run.counterexample);
     w.member("wall_ms", run.wall_ms);
     if (run.resumed) w.member("resumed", true);
     if (!run.cache_outcome.empty()) w.member("cache", run.cache_outcome);
-    w.key("stats");
-    w.begin_object();
-    for (const auto& [key, value] : run.stats) w.member(key, value);
-    w.end_object();
+    write_stats(w, run.stats);
     if (!run.metrics.empty()) {
       w.key("metrics");
       w.begin_object();
@@ -204,7 +194,7 @@ void write_run_report(std::ostream& out, const std::string& tool, unsigned k,
         if (a.skipped) {
           w.member("skipped", true);
         } else {
-          w.member("status", status_code_name(a.status.code()));
+          write_status(w, a.status, /*with_message=*/false);
           if (a.status.ok()) w.member("verdict", verdict_name(a.verdict));
           w.member("wall_ms", a.wall_ms);
           if (a.budget_peak_bytes != 0)
@@ -226,6 +216,89 @@ void write_run_report(std::ostream& out, const std::string& tool, unsigned k,
   w.end_array();
   w.end_object();
   out << "\n";
+}
+
+AttemptRecord attempt_record_of(const EngineRun& run) {
+  AttemptRecord a;
+  a.engine = run.engine;
+  a.status = run.status;
+  a.verdict = run.verdict;
+  a.detail = run.detail;
+  a.wall_ms = run.wall_ms;
+  a.budget_peak_bytes = run.budget_peak_bytes;
+  a.heartbeats = run.heartbeats;
+  a.last_phase = run.last_phase;
+  a.last_step = run.last_step;
+  return a;
+}
+
+void write_status(JsonWriter& w, const Status& status, bool with_message) {
+  w.member("status", status_code_name(status.code()));
+  if (with_message && !status.ok()) w.member("message", status.message());
+}
+
+Status read_status(const JsonValue& object, Status* status) {
+  const Result<StatusCode> code =
+      status_code_from_name(object.string_or("status", "kOk"));
+  if (!code.ok()) return code.status();
+  *status = *code == StatusCode::kOk
+                ? Status()
+                : Status::with_code(*code, object.string_or("message", ""));
+  return Status();
+}
+
+Status read_verdict(const JsonValue& object, Verdict* verdict) {
+  const Result<Verdict> v =
+      verdict_from_name(object.string_or("verdict", "unknown"));
+  if (!v.ok()) return v.status();
+  *verdict = *v;
+  return Status();
+}
+
+void write_counterexample(JsonWriter& w, const certify::Counterexample& cx) {
+  if (cx.empty()) return;
+  w.key("counterexample");
+  w.begin_object();
+  w.key("inputs");
+  w.begin_object();
+  for (const auto& [name, elem] : cx.inputs) w.member(name, elem);
+  w.end_object();
+  w.member("output_word", cx.output_word);
+  w.member("expected", cx.expected);
+  w.member("actual", cx.actual);
+  w.member("replayed", cx.replayed);
+  w.end_object();
+}
+
+certify::Counterexample read_counterexample(const JsonValue& object) {
+  certify::Counterexample cx;
+  const JsonValue* v = object.find("counterexample");
+  if (v == nullptr || !v->is_object()) return cx;
+  if (const JsonValue* inputs = v->find("inputs");
+      inputs != nullptr && inputs->is_object()) {
+    for (const auto& [name, value] : inputs->members())
+      if (value.is_string()) cx.inputs[name] = value.as_string();
+  }
+  cx.output_word = v->string_or("output_word", "");
+  cx.expected = v->string_or("expected", "");
+  cx.actual = v->string_or("actual", "");
+  cx.replayed = v->bool_or("replayed", false);
+  return cx;
+}
+
+void write_stats(JsonWriter& w, const std::map<std::string, double>& stats) {
+  w.key("stats");
+  w.begin_object();
+  for (const auto& [key, value] : stats) w.member(key, value);
+  w.end_object();
+}
+
+std::map<std::string, double> read_stats(const JsonValue& object) {
+  std::map<std::string, double> stats;
+  if (const JsonValue* v = object.find("stats"); v != nullptr && v->is_object())
+    for (const auto& [key, value] : v->members())
+      if (value.is_number()) stats[key] = value.as_number();
+  return stats;
 }
 
 }  // namespace gfa::engine

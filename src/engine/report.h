@@ -6,6 +6,12 @@
 // write_run_report() serializes a batch of records as JSON (via
 // util/json_writer.h), the format shared by `gfa_tool verify --report` and
 // `gfa_tool compare --report`.
+//
+// EngineRun is also what crosses the worker wire (worker/protocol.h), and the
+// service's job response carries its outcome fields. The JSON spelling of
+// those fields — status, verdict, counterexample, stats — is written and read
+// by the helpers at the bottom of this header, so the run report, the worker
+// response frame and the service job codec cannot drift apart.
 
 #include <cstdint>
 #include <map>
@@ -14,6 +20,11 @@
 #include <vector>
 
 #include "engine/engine.h"
+
+namespace gfa {
+class JsonValue;
+class JsonWriter;
+}  // namespace gfa
 
 namespace gfa::engine {
 
@@ -92,5 +103,29 @@ EngineRun run_engine(const EquivEngine& engine, const Netlist& spec,
 ///    "detail", "wall_ms", "stats": {...}}, ...]}
 void write_run_report(std::ostream& out, const std::string& tool, unsigned k,
                       const std::vector<EngineRun>& runs);
+
+/// The attempt-history entry for a finished run: engine, status, verdict,
+/// detail, wall time, budget peak and worker telemetry.
+AttemptRecord attempt_record_of(const EngineRun& run);
+
+/// Writes "status" (the code name) and, for a failure when `with_message`,
+/// "message". The run report leaves the message to "detail".
+void write_status(JsonWriter& w, const Status& status, bool with_message);
+/// Reads what write_status() wrote into `*status` (absent = kOk). An
+/// unknown code name is kInvalidArgument.
+Status read_status(const JsonValue& object, Status* status);
+/// Reads the "verdict" member (spelled by verdict_name) into `*verdict`
+/// (absent = kUnknown). An unknown spelling is kInvalidArgument.
+Status read_verdict(const JsonValue& object, Verdict* verdict);
+
+/// Writes the "counterexample" member; nothing for an empty one.
+void write_counterexample(JsonWriter& w, const certify::Counterexample& cx);
+/// Reads the "counterexample" member; empty when absent.
+certify::Counterexample read_counterexample(const JsonValue& object);
+
+/// Writes the "stats" member as a flat object of numbers.
+void write_stats(JsonWriter& w, const std::map<std::string, double>& stats);
+/// Reads the "stats" member; empty when absent.
+std::map<std::string, double> read_stats(const JsonValue& object);
 
 }  // namespace gfa::engine

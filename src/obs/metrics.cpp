@@ -58,6 +58,13 @@ constexpr KnownMetric kKnownMetrics[] = {
     // Abstraction-engine pairs refuted by the simulation round ahead of the
     // reduction chain (engine/engines.cpp): no chain, lift or export ran.
     {"verify.sim_refutations", MetricKind::kCounter},
+    // Verdict certification around every engine run (engine/report.cpp):
+    // random-simulation cross-checks of kEquivalent verdicts and the points
+    // they simulated, and simulation searches run to backfill a missing
+    // kNotEquivalent counterexample.
+    {"certify.runs", MetricKind::kCounter},
+    {"certify.points", MetricKind::kCounter},
+    {"witness.backfills", MetricKind::kCounter},
     // Ideal-membership baseline (baselines/ideal_membership.cpp)
     {"ideal_membership.runs", MetricKind::kCounter},
     // CDCL SAT (baselines/sat/solver.cpp), flushed once per solve().

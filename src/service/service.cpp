@@ -18,6 +18,7 @@
 #include "circuit/parser.h"
 #include "circuit/verilog.h"
 #include "engine/registry.h"
+#include "engine/report.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "util/fault_inject.h"
@@ -108,32 +109,13 @@ std::string encode_job_response(const JobResponse& resp) {
   w.begin_object();
   w.member("op", resp.op);
   w.member("id", resp.id);
-  w.member("status", status_code_name(resp.status.code()));
-  if (!resp.status.ok()) w.member("message", resp.status.message());
+  engine::write_status(w, resp.status, /*with_message=*/true);
   w.member("verdict", engine::verdict_name(resp.verdict));
   if (!resp.detail.empty()) w.member("detail", resp.detail);
-  if (!resp.counterexample.empty()) {
-    w.key("counterexample");
-    w.begin_object();
-    w.key("inputs");
-    w.begin_object();
-    for (const auto& [name, elem] : resp.counterexample.inputs)
-      w.member(name, elem);
-    w.end_object();
-    w.member("output_word", resp.counterexample.output_word);
-    w.member("expected", resp.counterexample.expected);
-    w.member("actual", resp.counterexample.actual);
-    w.member("replayed", resp.counterexample.replayed);
-    w.end_object();
-  }
+  engine::write_counterexample(w, resp.counterexample);
   w.member("wall_ms", resp.wall_ms);
   if (!resp.cache.empty()) w.member("cache", resp.cache);
-  if (!resp.stats.empty()) {
-    w.key("stats");
-    w.begin_object();
-    for (const auto& [name, value] : resp.stats) w.member(name, value);
-    w.end_object();
-  }
+  if (!resp.stats.empty()) engine::write_stats(w, resp.stats);
   w.end_object();
   return out.str();
 }
@@ -146,36 +128,13 @@ Result<JobResponse> decode_job_response(std::string_view json) {
   JobResponse resp;
   resp.op = doc->string_or("op", "verify");
   resp.id = doc->u64_or("id", 0);
-  const Result<StatusCode> code =
-      status_code_from_name(doc->string_or("status", "kOk"));
-  if (!code.ok()) return code.status();
-  if (*code != StatusCode::kOk)
-    resp.status = Status::with_code(*code, doc->string_or("message", ""));
-  const Result<engine::Verdict> verdict =
-      engine::verdict_from_name(doc->string_or("verdict", "unknown"));
-  if (!verdict.ok()) return verdict.status();
-  resp.verdict = *verdict;
+  if (Status s = engine::read_status(*doc, &resp.status); !s.ok()) return s;
+  if (Status s = engine::read_verdict(*doc, &resp.verdict); !s.ok()) return s;
   resp.detail = doc->string_or("detail", "");
-  if (const JsonValue* cx = doc->find("counterexample");
-      cx != nullptr && cx->is_object()) {
-    if (const JsonValue* inputs = cx->find("inputs");
-        inputs != nullptr && inputs->is_object()) {
-      for (const auto& [name, value] : inputs->members())
-        if (value.is_string())
-          resp.counterexample.inputs[name] = value.as_string();
-    }
-    resp.counterexample.output_word = cx->string_or("output_word", "");
-    resp.counterexample.expected = cx->string_or("expected", "");
-    resp.counterexample.actual = cx->string_or("actual", "");
-    resp.counterexample.replayed = cx->bool_or("replayed", false);
-  }
+  resp.counterexample = engine::read_counterexample(*doc);
   resp.wall_ms = doc->number_or("wall_ms", 0.0);
   resp.cache = doc->string_or("cache", "");
-  if (const JsonValue* stats = doc->find("stats");
-      stats != nullptr && stats->is_object()) {
-    for (const auto& [name, value] : stats->members())
-      if (value.is_number()) resp.stats[name] = value.as_number();
-  }
+  resp.stats = engine::read_stats(*doc);
   return resp;
 }
 
@@ -642,13 +601,14 @@ JobResponse Server::run_verify(const JobRequest& req) {
   wreq.timeout_seconds = clamp_limit(req.timeout_seconds,
                                      options_.default_timeout_seconds,
                                      options_.max_timeout_seconds);
-  wreq.memory_budget_bytes = clamp_limit(req.memory_budget_bytes,
-                                         options_.default_memory_budget_bytes,
-                                         options_.max_memory_budget_bytes);
+  wreq.options.memory_budget_bytes = static_cast<std::size_t>(
+      clamp_limit(req.memory_budget_bytes,
+                  options_.default_memory_budget_bytes,
+                  options_.max_memory_budget_bytes));
+  wreq.options.export_canonical = cacheable;
+  wreq.options.certify = options_.certify;
   wreq.heartbeat_interval_seconds = options_.heartbeat_interval_seconds;
   wreq.stall_timeout_seconds = options_.stall_timeout_seconds;
-  wreq.export_canonical = cacheable;
-  wreq.certify = options_.certify;
 
   worker::RetryPolicy policy;
   policy.max_attempts = options_.max_attempts;

@@ -63,11 +63,11 @@ Result<Netlist> load_circuit(const std::string& path) {
 void apply_child_rlimits(const WorkerRequest& req,
                          const WorkerConfig& config) {
 #if !defined(GFA_ASAN)
-  if (req.memory_budget_bytes != 0) {
+  if (req.options.memory_budget_bytes != 0) {
     // Headroom over the counted budget for code, stacks, and allocator
     // slack; the cooperative ResourceBudget is expected to trip first.
     const double want =
-        static_cast<double>(req.memory_budget_bytes) *
+        static_cast<double>(req.options.memory_budget_bytes) *
             config.address_space_headroom +
         256.0 * 1024 * 1024;
     struct rlimit as_limit;
@@ -88,67 +88,26 @@ void apply_child_rlimits(const WorkerRequest& req,
   }
 }
 
-engine::RunOptions run_options_of(const WorkerRequest& req) {
-  engine::RunOptions options;
-  if (req.timeout_seconds > 0)
-    options.control.deadline = Deadline::after(req.timeout_seconds);
-  options.sat_conflict_limit = req.sat_conflict_limit;
-  options.bdd_node_limit = static_cast<std::size_t>(req.bdd_node_limit);
-  options.max_terms = static_cast<std::size_t>(req.max_terms);
-  options.gb_max_reductions = static_cast<std::size_t>(req.gb_max_reductions);
-  options.gb_max_poly_terms = static_cast<std::size_t>(req.gb_max_poly_terms);
-  options.memory_budget_bytes =
-      static_cast<std::size_t>(req.memory_budget_bytes);
-  options.attempt_timeout_seconds = req.attempt_timeout_seconds;
-  options.portfolio_engines = req.portfolio_engines;
-  options.portfolio_race = req.portfolio_race;
-  options.checkpoint_dir = req.checkpoint_dir;
-  options.checkpoint_interval = req.checkpoint_interval;
-  options.checkpoint_resume = req.checkpoint_resume;
-  options.export_canonical = req.export_canonical;
-  options.certify = req.certify;
-  return options;
-}
-
-/// The child's engine run, already flattened into a response.
-WorkerResponse execute_request(const WorkerRequest& req) {
-  WorkerResponse resp;
+/// The child's engine run. Failures before the engine starts (unreadable
+/// circuits, a bad k or engine name) come back as the run's status.
+engine::EngineRun execute_request(WorkerRequest& req) {
   const Result<Netlist> spec = load_circuit(req.spec_path);
-  if (!spec.ok()) {
-    resp.status = spec.status();
-    return resp;
-  }
   const Result<Netlist> impl = load_circuit(req.impl_path);
-  if (!impl.ok()) {
-    resp.status = impl.status();
-    return resp;
-  }
   const Result<Gf2k> field = Gf2k::try_make(req.k);
-  if (!field.ok()) {
-    resp.status = field.status();
-    return resp;
-  }
   const Result<const engine::EquivEngine*> eng =
       engine::EngineRegistry::global().require(req.engine);
-  if (!eng.ok()) {
-    resp.status = eng.status();
-    return resp;
+  for (const Status* s :
+       {&spec.status(), &impl.status(), &field.status(), &eng.status()}) {
+    if (s->ok()) continue;
+    engine::EngineRun run;
+    run.engine = req.engine;
+    run.status = *s;
+    run.detail = s->message();
+    return run;
   }
-  const engine::EngineRun run =
-      engine::run_engine(**eng, *spec, *impl, *field, run_options_of(req));
-  resp.status = run.status;
-  resp.verdict = run.verdict;
-  resp.detail = run.detail;
-  resp.counterexample = run.counterexample;
-  resp.stats = run.stats;
-  resp.attempts = run.attempts;
-  resp.resumed = run.resumed;
-  resp.wall_ms = run.wall_ms;
-  resp.budget_limit_bytes = run.budget_limit_bytes;
-  resp.budget_peak_bytes = run.budget_peak_bytes;
-  resp.canonical_spec = run.canonical_spec;
-  resp.canonical_impl = run.canonical_impl;
-  return resp;
+  if (req.timeout_seconds > 0)
+    req.options.control.deadline = Deadline::after(req.timeout_seconds);
+  return engine::run_engine(**eng, *spec, *impl, *field, req.options);
 }
 
 /// Child-side telemetry pump. While active it owns the process-wide progress
@@ -394,11 +353,11 @@ void worker_child_main(int in_fd, int out_fd, const WorkerConfig& config) {
   apply_child_rlimits(req, config);
   try {
     ChildTelemetry telemetry(out_fd, req);
-    WorkerResponse resp = execute_request(req);
+    engine::EngineRun run = execute_request(req);
     telemetry.stop();
     obs::sample_rss_bytes();
-    resp.peak_rss_bytes = obs::peak_rss_bytes();
-    const std::string payload = encode_response(resp);
+    run.peak_rss_bytes = obs::peak_rss_bytes();
+    const std::string payload = encode_response(run);
     if (!write_frame(out_fd, payload).ok()) _exit(3);
   } catch (...) {
     // The engine boundary catches everything in practice; if something still
@@ -470,7 +429,6 @@ engine::EngineRun run_in_worker(const WorkerRequest& request,
                                            << req.engine);
 
   Status outcome;
-  WorkerResponse resp;
   bool have_response = false;
   {
     const Status sent = write_frame(to_child[1], encode_request(req));
@@ -571,9 +529,9 @@ engine::EngineRun run_in_worker(const WorkerRequest& request,
         break;
       }
       case FrameKind::kResponse: {
-        Result<WorkerResponse> decoded = decode_response(*frame);
+        Result<engine::EngineRun> decoded = decode_response(*frame);
         if (decoded.ok()) {
-          resp = std::move(*decoded);
+          run = std::move(*decoded);
           have_response = true;
         } else {
           outcome = Status::worker_crashed("worker response unparseable: " +
@@ -592,17 +550,18 @@ engine::EngineRun run_in_worker(const WorkerRequest& request,
   const int wstatus =
       reap_child(pid, have_response, config.kill_grace_seconds);
   const auto end = std::chrono::steady_clock::now();
+  // `run` holds the child's own record when it answered. Add what only the
+  // parent observes: the wall clock, and — for a dead worker too, where the
+  // (last phase, last step, heartbeat count) triple is the forensic story —
+  // the accumulated telemetry, flight tail and peak RSS.
+  run.engine = req.engine;
   run.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
-
-  // Fold the accumulated telemetry into the record regardless of outcome —
-  // for a dead worker the (last phase, last step, heartbeat count) triple is
-  // exactly the forensic story the report needs.
   run.heartbeats = heartbeats;
   run.last_phase = last_phase;
   run.last_step = last_step;
   run.flight_events = std::move(flight_events);
   obs::sample_rss_bytes();  // parent-side boundary sample
-  run.peak_rss_bytes = std::max(child_rss, resp.peak_rss_bytes);
+  run.peak_rss_bytes = std::max(child_rss, run.peak_rss_bytes);
 
   // Merge the child's trace spans into the parent buffer: re-base their
   // timestamps from the child's trace epoch onto ours (both are offsets of
@@ -619,21 +578,7 @@ engine::EngineRun run_in_worker(const WorkerRequest& request,
     obs::Tracer::instance().import_events(std::move(child_events));
   }
 
-  if (have_response) {
-    run.status = resp.status;
-    run.verdict = resp.verdict;
-    run.detail = resp.status.ok() ? resp.detail : resp.status.message();
-    run.counterexample = std::move(resp.counterexample);
-    run.stats = std::move(resp.stats);
-    run.attempts = std::move(resp.attempts);
-    run.resumed = resp.resumed;
-    run.budget_limit_bytes =
-        static_cast<std::size_t>(resp.budget_limit_bytes);
-    run.budget_peak_bytes = static_cast<std::size_t>(resp.budget_peak_bytes);
-    run.canonical_spec = std::move(resp.canonical_spec);
-    run.canonical_impl = std::move(resp.canonical_impl);
-    return run;
-  }
+  if (have_response) return run;
   if (stalled) {
     run.status = outcome;
     run.stats["worker_stalled"] = 1.0;
@@ -667,15 +612,7 @@ engine::EngineRun run_isolated_with_retry(WorkerRequest request,
                   static_cast<std::uint64_t>(run.wall_ms));
     if (!run.flight_events.empty()) last_flight = run.flight_events;
 
-    engine::AttemptRecord record;
-    record.engine = request.engine;
-    record.status = run.status;
-    record.verdict = run.verdict;
-    record.wall_ms = run.wall_ms;
-    record.budget_peak_bytes = run.budget_peak_bytes;
-    record.heartbeats = run.heartbeats;
-    record.last_phase = run.last_phase;
-    record.last_step = run.last_step;
+    engine::AttemptRecord record = engine::attempt_record_of(run);
     record.detail = "attempt " + std::to_string(attempt) + "/" +
                     std::to_string(max_attempts) +
                     (run.detail.empty() ? "" : ": " + run.detail);
@@ -686,10 +623,10 @@ engine::EngineRun run_isolated_with_retry(WorkerRequest request,
       GFA_LOG_WARN("worker", "attempt " << attempt << " failed ("
                                         << run.status.to_string()
                                         << "), retrying");
-      if (policy.budget_escalation > 1.0 && request.memory_budget_bytes != 0)
-        request.memory_budget_bytes = static_cast<std::uint64_t>(
-            static_cast<double>(request.memory_budget_bytes) *
-            policy.budget_escalation);
+      std::size_t& budget = request.options.memory_budget_bytes;
+      if (policy.budget_escalation > 1.0 && budget != 0)
+        budget = static_cast<std::size_t>(static_cast<double>(budget) *
+                                          policy.budget_escalation);
     }
   }
   run.stats["worker_attempts"] = static_cast<double>(history.size());

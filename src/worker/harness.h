@@ -63,10 +63,11 @@ struct WorkerConfig {
   std::function<void(pid_t)> on_spawn;
 };
 
-/// Runs one request in one freshly forked worker. The returned EngineRun
-/// carries the response (engine name, status, verdict, stats, resumed flag)
-/// or the supervisor's classification of the child's death; wall_ms is the
-/// parent-observed wall clock. Consumes the "worker:crash" / "worker:hang"
+/// Runs one request in one freshly forked worker. The returned EngineRun is
+/// the one run_engine() produced in the child (see encode_response) or the
+/// supervisor's classification of the child's death; either way wall_ms is
+/// the parent-observed wall clock, and the worker telemetry, flight tail and
+/// peak RSS are what the parent collected. Consumes the "worker:crash" / "worker:hang"
 /// fault sites parent-side before forking, so an armed site fires in exactly
 /// one attempt even across retries.
 engine::EngineRun run_in_worker(const WorkerRequest& request,

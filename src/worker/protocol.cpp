@@ -15,15 +15,14 @@ namespace gfa::worker {
 
 namespace {
 
-/// Shared JSON spellings: requests and responses use kebab-free snake_case
-/// keys matching the RunOptions/EngineRun field names where one exists.
+/// Requests and responses use snake_case keys matching the RunOptions /
+/// EngineRun field names.
 
 void write_attempt(JsonWriter& w, const engine::AttemptRecord& a) {
   w.begin_object();
   w.member("engine", a.engine);
   w.member("skipped", a.skipped);
-  w.member("status", status_code_name(a.status.code()));
-  w.member("message", a.status.ok() ? "" : a.status.message());
+  engine::write_status(w, a.status, /*with_message=*/true);
   w.member("verdict", engine::verdict_name(a.verdict));
   w.member("detail", a.detail);
   w.member("wall_ms", a.wall_ms);
@@ -39,15 +38,8 @@ Result<engine::AttemptRecord> read_attempt(const JsonValue& v) {
   engine::AttemptRecord a;
   a.engine = v.string_or("engine", "");
   a.skipped = v.bool_or("skipped", false);
-  const Result<StatusCode> code =
-      status_code_from_name(v.string_or("status", "kOk"));
-  if (!code.ok()) return code.status();
-  if (*code != StatusCode::kOk)
-    a.status = Status::with_code(*code, v.string_or("message", ""));
-  const Result<engine::Verdict> verdict =
-      engine::verdict_from_name(v.string_or("verdict", "unknown"));
-  if (!verdict.ok()) return verdict.status();
-  a.verdict = *verdict;
+  if (Status s = engine::read_status(v, &a.status); !s.ok()) return s;
+  if (Status s = engine::read_verdict(v, &a.verdict); !s.ok()) return s;
   a.detail = v.string_or("detail", "");
   a.wall_ms = v.number_or("wall_ms", 0.0);
   a.budget_peak_bytes =
@@ -61,6 +53,7 @@ Result<engine::AttemptRecord> read_attempt(const JsonValue& v) {
 }  // namespace
 
 std::string encode_request(const WorkerRequest& req) {
+  const engine::RunOptions& o = req.options;
   std::ostringstream out;
   JsonWriter w(out, 0);
   w.begin_object();
@@ -69,28 +62,31 @@ std::string encode_request(const WorkerRequest& req) {
   w.member("k", req.k);
   w.member("engine", req.engine);
   w.member("timeout_seconds", req.timeout_seconds);
-  w.member("sat_conflict_limit", req.sat_conflict_limit);
-  w.member("bdd_node_limit", req.bdd_node_limit);
-  w.member("max_terms", req.max_terms);
-  w.member("gb_max_reductions", req.gb_max_reductions);
-  w.member("gb_max_poly_terms", req.gb_max_poly_terms);
-  w.member("memory_budget_bytes", req.memory_budget_bytes);
-  w.member("attempt_timeout_seconds", req.attempt_timeout_seconds);
+  w.member("sat_conflict_limit", o.sat_conflict_limit);
+  w.member("bdd_node_limit", static_cast<std::uint64_t>(o.bdd_node_limit));
+  w.member("max_terms", static_cast<std::uint64_t>(o.max_terms));
+  w.member("gb_max_reductions",
+           static_cast<std::uint64_t>(o.gb_max_reductions));
+  w.member("gb_max_poly_terms",
+           static_cast<std::uint64_t>(o.gb_max_poly_terms));
+  w.member("memory_budget_bytes",
+           static_cast<std::uint64_t>(o.memory_budget_bytes));
+  w.member("attempt_timeout_seconds", o.attempt_timeout_seconds);
   w.key("portfolio_engines");
   w.begin_array();
-  for (const std::string& name : req.portfolio_engines) w.value(name);
+  for (const std::string& name : o.portfolio_engines) w.value(name);
   w.end_array();
-  w.member("portfolio_race", req.portfolio_race);
-  w.member("checkpoint_dir", req.checkpoint_dir);
-  w.member("checkpoint_interval", req.checkpoint_interval);
-  w.member("checkpoint_resume", req.checkpoint_resume);
+  w.member("portfolio_race", o.portfolio_race);
+  w.member("checkpoint_dir", o.checkpoint_dir);
+  w.member("checkpoint_interval", o.checkpoint_interval);
+  w.member("checkpoint_resume", o.checkpoint_resume);
   w.member("simulate_crash", req.simulate_crash);
   w.member("simulate_hang", req.simulate_hang);
   w.member("heartbeat_interval_seconds", req.heartbeat_interval_seconds);
   w.member("stall_timeout_seconds", req.stall_timeout_seconds);
   w.member("trace", req.trace);
-  w.member("export_canonical", req.export_canonical);
-  w.member("certify", req.certify);
+  w.member("export_canonical", o.export_canonical);
+  w.member("certify", o.certify);
   w.end_object();
   return out.str();
 }
@@ -101,35 +97,39 @@ Result<WorkerRequest> decode_request(std::string_view json) {
   if (!doc->is_object())
     return Status::invalid_argument("worker request is not a JSON object");
   WorkerRequest req;
+  engine::RunOptions& o = req.options;
   req.spec_path = doc->string_or("spec_path", "");
   req.impl_path = doc->string_or("impl_path", "");
   req.k = static_cast<unsigned>(doc->u64_or("k", 0));
   req.engine = doc->string_or("engine", "abstraction");
   req.timeout_seconds = doc->number_or("timeout_seconds", 0.0);
-  req.sat_conflict_limit = doc->u64_or("sat_conflict_limit", 0);
-  req.bdd_node_limit = doc->u64_or("bdd_node_limit", 0);
-  req.max_terms = doc->u64_or("max_terms", 0);
-  req.gb_max_reductions = doc->u64_or("gb_max_reductions", 0);
-  req.gb_max_poly_terms = doc->u64_or("gb_max_poly_terms", 0);
-  req.memory_budget_bytes = doc->u64_or("memory_budget_bytes", 0);
-  req.attempt_timeout_seconds = doc->number_or("attempt_timeout_seconds", 0.0);
+  o.sat_conflict_limit = doc->u64_or("sat_conflict_limit", 0);
+  o.bdd_node_limit = static_cast<std::size_t>(doc->u64_or("bdd_node_limit", 0));
+  o.max_terms = static_cast<std::size_t>(doc->u64_or("max_terms", 0));
+  o.gb_max_reductions =
+      static_cast<std::size_t>(doc->u64_or("gb_max_reductions", 0));
+  o.gb_max_poly_terms =
+      static_cast<std::size_t>(doc->u64_or("gb_max_poly_terms", 0));
+  o.memory_budget_bytes =
+      static_cast<std::size_t>(doc->u64_or("memory_budget_bytes", 0));
+  o.attempt_timeout_seconds = doc->number_or("attempt_timeout_seconds", 0.0);
   if (const JsonValue* engines = doc->find("portfolio_engines");
       engines != nullptr && engines->is_array()) {
     for (const JsonValue& item : engines->items())
-      if (item.is_string()) req.portfolio_engines.push_back(item.as_string());
+      if (item.is_string()) o.portfolio_engines.push_back(item.as_string());
   }
-  req.portfolio_race = doc->bool_or("portfolio_race", false);
-  req.checkpoint_dir = doc->string_or("checkpoint_dir", "");
-  req.checkpoint_interval = doc->u64_or("checkpoint_interval", 0);
-  req.checkpoint_resume = doc->bool_or("checkpoint_resume", false);
+  o.portfolio_race = doc->bool_or("portfolio_race", false);
+  o.checkpoint_dir = doc->string_or("checkpoint_dir", "");
+  o.checkpoint_interval = doc->u64_or("checkpoint_interval", 0);
+  o.checkpoint_resume = doc->bool_or("checkpoint_resume", false);
   req.simulate_crash = doc->bool_or("simulate_crash", false);
   req.simulate_hang = doc->bool_or("simulate_hang", false);
   req.heartbeat_interval_seconds =
       doc->number_or("heartbeat_interval_seconds", 1.0);
   req.stall_timeout_seconds = doc->number_or("stall_timeout_seconds", 0.0);
   req.trace = doc->bool_or("trace", false);
-  req.export_canonical = doc->bool_or("export_canonical", false);
-  req.certify = doc->bool_or("certify", false);
+  o.export_canonical = doc->bool_or("export_canonical", false);
+  o.certify = doc->bool_or("certify", false);
   if (req.spec_path.empty() || req.impl_path.empty())
     return Status::invalid_argument("worker request is missing circuit paths");
   if (req.k < 2)
@@ -137,99 +137,63 @@ Result<WorkerRequest> decode_request(std::string_view json) {
   return req;
 }
 
-std::string encode_response(const WorkerResponse& resp) {
+std::string encode_response(const engine::EngineRun& run) {
   std::ostringstream out;
   JsonWriter w(out, 0);
   w.begin_object();
-  w.member("status", status_code_name(resp.status.code()));
-  w.member("message", resp.status.ok() ? "" : resp.status.message());
-  w.member("verdict", engine::verdict_name(resp.verdict));
-  w.member("detail", resp.detail);
-  if (!resp.counterexample.empty()) {
-    w.key("counterexample");
-    w.begin_object();
-    w.key("inputs");
-    w.begin_object();
-    for (const auto& [name, elem] : resp.counterexample.inputs)
-      w.member(name, elem);
-    w.end_object();
-    w.member("output_word", resp.counterexample.output_word);
-    w.member("expected", resp.counterexample.expected);
-    w.member("actual", resp.counterexample.actual);
-    w.member("replayed", resp.counterexample.replayed);
-    w.end_object();
-  }
-  w.key("stats");
-  w.begin_object();
-  for (const auto& [key, value] : resp.stats) w.member(key, value);
-  w.end_object();
+  engine::write_status(w, run.status, /*with_message=*/true);
+  w.member("verdict", engine::verdict_name(run.verdict));
+  w.member("detail", run.detail);
+  engine::write_counterexample(w, run.counterexample);
+  engine::write_stats(w, run.stats);
   w.key("attempts");
   w.begin_array();
-  for (const engine::AttemptRecord& a : resp.attempts) write_attempt(w, a);
+  for (const engine::AttemptRecord& a : run.attempts) write_attempt(w, a);
   w.end_array();
-  w.member("resumed", resp.resumed);
-  w.member("wall_ms", resp.wall_ms);
-  w.member("budget_limit_bytes", resp.budget_limit_bytes);
-  w.member("budget_peak_bytes", resp.budget_peak_bytes);
-  w.member("peak_rss_bytes", resp.peak_rss_bytes);
-  if (!resp.canonical_spec.empty())
-    w.member("canonical_spec", resp.canonical_spec);
-  if (!resp.canonical_impl.empty())
-    w.member("canonical_impl", resp.canonical_impl);
+  w.member("resumed", run.resumed);
+  w.member("wall_ms", run.wall_ms);
+  w.member("budget_limit_bytes",
+           static_cast<std::uint64_t>(run.budget_limit_bytes));
+  w.member("budget_peak_bytes",
+           static_cast<std::uint64_t>(run.budget_peak_bytes));
+  w.member("peak_rss_bytes", run.peak_rss_bytes);
+  if (!run.canonical_spec.empty())
+    w.member("canonical_spec", run.canonical_spec);
+  if (!run.canonical_impl.empty())
+    w.member("canonical_impl", run.canonical_impl);
   w.end_object();
   return out.str();
 }
 
-Result<WorkerResponse> decode_response(std::string_view json) {
+Result<engine::EngineRun> decode_response(std::string_view json) {
   Result<JsonValue> doc = parse_json(json);
   if (!doc.ok()) return doc.status();
   if (!doc->is_object())
     return Status::invalid_argument("worker response is not a JSON object");
-  WorkerResponse resp;
-  const Result<StatusCode> code =
-      status_code_from_name(doc->string_or("status", ""));
-  if (!code.ok()) return code.status();
-  if (*code != StatusCode::kOk)
-    resp.status = Status::with_code(*code, doc->string_or("message", ""));
-  const Result<engine::Verdict> verdict =
-      engine::verdict_from_name(doc->string_or("verdict", "unknown"));
-  if (!verdict.ok()) return verdict.status();
-  resp.verdict = *verdict;
-  resp.detail = doc->string_or("detail", "");
-  if (const JsonValue* cx = doc->find("counterexample");
-      cx != nullptr && cx->is_object()) {
-    if (const JsonValue* inputs = cx->find("inputs");
-        inputs != nullptr && inputs->is_object()) {
-      for (const auto& [name, value] : inputs->members())
-        if (value.is_string())
-          resp.counterexample.inputs[name] = value.as_string();
-    }
-    resp.counterexample.output_word = cx->string_or("output_word", "");
-    resp.counterexample.expected = cx->string_or("expected", "");
-    resp.counterexample.actual = cx->string_or("actual", "");
-    resp.counterexample.replayed = cx->bool_or("replayed", false);
-  }
-  if (const JsonValue* stats = doc->find("stats");
-      stats != nullptr && stats->is_object()) {
-    for (const auto& [key, value] : stats->members())
-      if (value.is_number()) resp.stats[key] = value.as_number();
-  }
+  engine::EngineRun run;
+  if (Status s = engine::read_status(*doc, &run.status); !s.ok()) return s;
+  if (Status s = engine::read_verdict(*doc, &run.verdict); !s.ok()) return s;
+  run.detail = doc->string_or("detail", "");
+  run.counterexample = engine::read_counterexample(*doc);
+  run.stats = engine::read_stats(*doc);
   if (const JsonValue* attempts = doc->find("attempts");
       attempts != nullptr && attempts->is_array()) {
     for (const JsonValue& item : attempts->items()) {
       Result<engine::AttemptRecord> a = read_attempt(item);
       if (!a.ok()) return a.status();
-      resp.attempts.push_back(std::move(*a));
+      run.attempts.push_back(std::move(*a));
     }
   }
-  resp.resumed = doc->bool_or("resumed", false);
-  resp.wall_ms = doc->number_or("wall_ms", 0.0);
-  resp.budget_limit_bytes = doc->u64_or("budget_limit_bytes", 0);
-  resp.budget_peak_bytes = doc->u64_or("budget_peak_bytes", 0);
-  resp.peak_rss_bytes = doc->u64_or("peak_rss_bytes", 0);
-  resp.canonical_spec = doc->string_or("canonical_spec", "");
-  resp.canonical_impl = doc->string_or("canonical_impl", "");
-  return resp;
+  run.resumed = doc->bool_or("resumed", false);
+  run.wall_ms = doc->number_or("wall_ms", 0.0);
+  run.budget_limit_bytes =
+      static_cast<std::size_t>(doc->u64_or("budget_limit_bytes", 0));
+  run.budget_peak_bytes =
+      static_cast<std::size_t>(doc->u64_or("budget_peak_bytes", 0));
+  run.peak_rss_bytes = doc->u64_or("peak_rss_bytes", 0);
+  run.canonical_spec = doc->string_or("canonical_spec", "");
+  run.canonical_impl = doc->string_or("canonical_impl", "");
+  return run;
 }
 
 FrameKind frame_kind(const JsonValue& doc) {

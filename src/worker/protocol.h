@@ -5,9 +5,9 @@
 // a 32-bit little-endian payload length followed by that many bytes of JSON
 // (written by util/json_writer.h, parsed by util/json_reader.h). The request
 // carries everything the child needs to reconstruct the job — circuit file
-// paths, the field degree, the engine name, and the ExecControl-shaped
-// limits — because the child re-reads the circuits itself rather than
-// inheriting parent memory it cannot trust after a crashy run.
+// paths, the field degree, the engine name, its wall clock, and the run's
+// engine::RunOptions — because the child re-reads the circuits itself rather
+// than inheriting parent memory it cannot trust after a crashy run.
 //
 // The child-to-parent direction is a frame *stream*, discriminated by a
 // top-level "frame" key:
@@ -18,13 +18,14 @@
 //   * "flight"    — the crash flight-recorder ring, emitted by the child's
 //     SIGSEGV/SIGABRT handler (hand-formatted there — keep the schema in
 //     sync with obs/flight_recorder.cpp) or its catch-all exception path;
-//   * absent / "response" — the final WorkerResponse, which ends the stream.
-// A pre-telemetry parent still works: it blocks on the one frame the old
-// protocol had, and a pre-telemetry child simply never sends the new kinds.
+//   * absent / "response" — the engine::EngineRun that run_engine() returned
+//     in the child, which ends the stream.
 //
-// The response is the flattened run outcome: a Status in wire form (code
-// name + message), the verdict, detail, stats, and the portfolio attempt
-// history when the isolated engine was itself a portfolio.
+// The response carries the run's outcome: its Status (code name + message),
+// verdict, detail, counterexample, stats, budget and RSS peaks, the
+// portfolio attempt history when the isolated engine was itself a portfolio,
+// and the canonical forms when the request asked for them. Status, verdict,
+// counterexample and stats use the JSON spelling of engine/report.h.
 //
 // Frames are capped at 64 MiB: a length prefix beyond that is treated as
 // protocol corruption, not an allocation request.
@@ -35,7 +36,7 @@
 #include <string_view>
 #include <vector>
 
-#include "engine/engine.h"
+#include "engine/report.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "util/exec_control.h"
@@ -54,19 +55,11 @@ struct WorkerRequest {
   /// Wall-clock limit the child turns into its own Deadline (0 = none). The
   /// parent enforces the same limit externally with SIGTERM-then-SIGKILL.
   double timeout_seconds = 0.0;
-  // RunOptions limits, mirrored field-for-field (see engine/engine.h).
-  std::uint64_t sat_conflict_limit = 0;
-  std::uint64_t bdd_node_limit = 0;
-  std::uint64_t max_terms = 0;
-  std::uint64_t gb_max_reductions = 0;
-  std::uint64_t gb_max_poly_terms = 0;
-  std::uint64_t memory_budget_bytes = 0;
-  double attempt_timeout_seconds = 0.0;
-  std::vector<std::string> portfolio_engines;
-  bool portfolio_race = false;
-  std::string checkpoint_dir;
-  std::uint64_t checkpoint_interval = 0;
-  bool checkpoint_resume = false;
+  /// The engine's settings. Everything but `control` (the child builds its
+  /// own from timeout_seconds), `isolate_attempts` and the worker_*_path
+  /// pair crosses the wire; memory_budget_bytes also sizes the child's
+  /// RLIMIT_AS.
+  engine::RunOptions options;
   /// Fault-injection relays: the parent consumes "worker:crash" /
   /// "worker:hang" (see fault::consume) and sets these so exactly one
   /// attempt misbehaves even across retries of forked children.
@@ -82,48 +75,13 @@ struct WorkerRequest {
   double stall_timeout_seconds = 0.0;
   /// Child trace-buffer streaming: set iff the parent has tracing enabled.
   bool trace = false;
-  /// Ask the child to ship the extracted canonical forms back in the
-  /// response (abstraction engine only — see RunOptions::export_canonical).
-  /// Set by the verification service so a cache miss's extraction work can
-  /// be stored for the next identical circuit.
-  bool export_canonical = false;
-  /// Cross-check a kEquivalent verdict by random simulation in the child
-  /// (RunOptions::certify); a disagreement comes back as
-  /// kCertificationFailed.
-  bool certify = false;
-};
-
-struct WorkerResponse {
-  /// The engine's own outcome (kOk with a verdict, or why it failed).
-  /// Supervisor-detected failures (crashes, timeouts) never appear here —
-  /// they are synthesized parent-side from the child's termination.
-  Status status;
-  engine::Verdict verdict = engine::Verdict::kUnknown;
-  std::string detail;
-  /// Typed simulator-replayed witness for kNotEquivalent (see
-  /// certify/counterexample.h); empty otherwise.
-  certify::Counterexample counterexample;
-  std::map<std::string, double> stats;
-  std::vector<engine::AttemptRecord> attempts;
-  bool resumed = false;
-  double wall_ms = 0.0;
-  std::uint64_t budget_limit_bytes = 0;
-  std::uint64_t budget_peak_bytes = 0;
-  /// Child's /proc-sampled peak resident set (bytes), next to the
-  /// byte-accounted budget peak; 0 when never sampled.
-  std::uint64_t peak_rss_bytes = 0;
-  /// Serialized canonical forms (abstraction/canon_serial.h) when the
-  /// request asked for them and the engine produced a verdict; empty
-  /// otherwise. These ride the response frame, bounded by kMaxFrameBytes.
-  std::string canonical_spec;
-  std::string canonical_impl;
 };
 
 /// Discriminates the child-to-parent frame stream (see header comment).
 enum class FrameKind { kResponse, kTelemetry, kTrace, kFlight };
 
 /// Classifies a parsed frame by its top-level "frame" key; absent or
-/// unrecognized values mean kResponse (the legacy single-frame protocol).
+/// unrecognized values mean kResponse (the response frame has no such key).
 FrameKind frame_kind(const JsonValue& doc);
 
 /// One heartbeat/progress observation from the child.
@@ -151,8 +109,11 @@ struct TraceFramePayload {
 std::string encode_request(const WorkerRequest& req);
 Result<WorkerRequest> decode_request(std::string_view json);
 
-std::string encode_response(const WorkerResponse& resp);
-Result<WorkerResponse> decode_response(std::string_view json);
+/// The response frame: the child's EngineRun minus what only the parent
+/// observes or never ships (engine name, metrics, worker telemetry, flight
+/// tail, cache disposition).
+std::string encode_response(const engine::EngineRun& run);
+Result<engine::EngineRun> decode_response(std::string_view json);
 
 std::string encode_telemetry_frame(const TelemetryFrame& t);
 Result<TelemetryFrame> decode_telemetry_frame(const JsonValue& doc);

@@ -253,7 +253,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, EngineCounterexamples,
 // Wire carriage.
 
 TEST(CertifyWire, WorkerResponseRoundTripsCounterexample) {
-  worker::WorkerResponse resp;
+  // The worker's response frame is the child's EngineRun.
+  engine::EngineRun resp;
   resp.verdict = engine::Verdict::kNotEquivalent;
   resp.counterexample.inputs["A"] = "α^3 + 1";
   resp.counterexample.inputs["B"] = "α";
@@ -261,7 +262,7 @@ TEST(CertifyWire, WorkerResponseRoundTripsCounterexample) {
   resp.counterexample.expected = "α^2";
   resp.counterexample.actual = "α^2 + 1";
   resp.counterexample.replayed = true;
-  const Result<worker::WorkerResponse> back =
+  const Result<engine::EngineRun> back =
       worker::decode_response(worker::encode_response(resp));
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   EXPECT_EQ(back->counterexample.inputs, resp.counterexample.inputs);

@@ -19,6 +19,7 @@
 #include "engine/report.h"
 #include "test_util.h"
 #include "util/json_reader.h"
+#include "util/parallel_for.h"
 
 namespace gfa::engine {
 namespace {
@@ -346,6 +347,160 @@ TEST(EngineRun, TimesTheCallAndNeverThrows) {
   EXPECT_EQ(run.verdict, Verdict::kEquivalent);
   EXPECT_GE(run.wall_ms, 0.0);
   EXPECT_FALSE(run.stats.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Run-report bytes. The expected document is the report's exact output
+// before the run outcome's JSON moved into shared writers; a change here is
+// a change to every consumer of `--report` files.
+
+/// One record per optional report section, plus a failed run.
+EngineRun golden_refuted_run() {
+  EngineRun run;
+  run.engine = "portfolio";
+  run.verdict = Verdict::kNotEquivalent;
+  run.detail = "abstraction: coefficients differ on 1 monomial(s): A*B \"q\"";
+  run.counterexample.inputs["A"] = "α^7 + α^6 + α^5 + α^2";
+  run.counterexample.inputs["B"] = "α^4 + α^3 + α^2";
+  run.counterexample.output_word = "Z";
+  run.counterexample.expected = "α^3";
+  run.counterexample.actual = "α^3 + 1";
+  run.counterexample.replayed = true;
+  run.stats["attempts_run"] = 1;
+  run.stats["budget_leaked_bytes"] = 0;
+  run.stats["peak_terms"] = 456.5;
+  run.wall_ms = 12.5;
+  run.metrics["extract.words"] = 2;
+  run.metrics["reduction_steps"] = 77;
+  run.budget_limit_bytes = std::size_t{1} << 20;
+  run.budget_peak_bytes = 1234;
+  run.resumed = true;
+  run.heartbeats = 3;
+  run.last_phase = "reduction_chain";
+  run.last_step = 42;
+  run.peak_rss_bytes = std::uint64_t{123} << 20;
+  run.flight_events = {"#1 t=5us worker:start a=8 b=0",
+                       "#2 t=9us budget:hwm a=4096 b=1"};
+  run.canonical_spec = "never reported";
+  run.canonical_impl = "never reported";
+  run.cache_outcome = "stored";
+  AttemptRecord decided;
+  decided.engine = "abstraction";
+  decided.verdict = Verdict::kNotEquivalent;
+  decided.detail = "coefficients differ";
+  decided.wall_ms = 3.5;
+  decided.budget_peak_bytes = 2048;
+  decided.heartbeats = 2;
+  decided.last_phase = "lift";
+  decided.last_step = 7;
+  AttemptRecord failed;
+  failed.engine = "bdd";
+  failed.status = Status::resource_exhausted("node cap");
+  failed.detail = "node cap";
+  failed.wall_ms = 1.25;
+  AttemptRecord skipped;
+  skipped.engine = "sat";
+  skipped.skipped = true;
+  skipped.detail = "abstraction already produced a verdict";
+  run.attempts = {failed, decided, skipped};
+  return run;
+}
+
+EngineRun golden_failed_run() {
+  EngineRun run;
+  run.engine = "sat";
+  run.status = Status::deadline_exceeded("deadline passed after 5 s");
+  run.detail = run.status.message();
+  run.wall_ms = 5000.25;
+  return run;
+}
+
+TEST(RunReportGolden, EverySectionKeepsItsBytes) {
+  std::ostringstream out;
+  write_run_report(out, "verify", 8,
+                   {golden_refuted_run(), golden_failed_run()});
+  std::string expected = R"json({
+  "tool": "verify",
+  "k": 8,
+  "threads": @THREADS@,
+  "runs": [
+    {
+      "engine": "portfolio",
+      "status": "kOk",
+      "verdict": "not-equivalent",
+      "detail": "abstraction: coefficients differ on 1 monomial(s): A*B \"q\"",
+      "counterexample": {
+        "inputs": {
+          "A": "α^7 + α^6 + α^5 + α^2",
+          "B": "α^4 + α^3 + α^2"
+        },
+        "output_word": "Z",
+        "expected": "α^3",
+        "actual": "α^3 + 1",
+        "replayed": true
+      },
+      "wall_ms": 12.5,
+      "resumed": true,
+      "cache": "stored",
+      "stats": {
+        "attempts_run": 1,
+        "budget_leaked_bytes": 0,
+        "peak_terms": 456.5
+      },
+      "metrics": {
+        "extract.words": 2,
+        "reduction_steps": 77
+      },
+      "budget_limit_bytes": 1048576,
+      "budget_peak_bytes": 1234,
+      "peak_rss_bytes": 128974848,
+      "telemetry": {
+        "heartbeats": 3,
+        "last_phase": "reduction_chain",
+        "last_step": 42
+      },
+      "flight_recorder": [
+        "#1 t=5us worker:start a=8 b=0",
+        "#2 t=9us budget:hwm a=4096 b=1"
+      ],
+      "attempts": [
+        {
+          "engine": "bdd",
+          "status": "kResourceExhausted",
+          "wall_ms": 1.25,
+          "detail": "node cap"
+        },
+        {
+          "engine": "abstraction",
+          "status": "kOk",
+          "verdict": "not-equivalent",
+          "wall_ms": 3.5,
+          "budget_peak_bytes": 2048,
+          "heartbeats": 2,
+          "last_phase": "lift",
+          "last_step": 7,
+          "detail": "coefficients differ"
+        },
+        {
+          "engine": "sat",
+          "skipped": true,
+          "detail": "abstraction already produced a verdict"
+        }
+      ]
+    },
+    {
+      "engine": "sat",
+      "status": "kDeadlineExceeded",
+      "detail": "deadline passed after 5 s",
+      "wall_ms": 5000.25,
+      "stats": {}
+    }
+  ]
+}
+)json";
+  const std::string threads = std::to_string(parallel_thread_count());
+  expected.replace(expected.find("@THREADS@"), 9, threads);
+  EXPECT_EQ(out.str(), expected);
 }
 
 }  // namespace

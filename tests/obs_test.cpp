@@ -94,7 +94,8 @@ TEST_F(ObsTest, KnownMetricSchemaIsPreRegistered) {
         "lift.reductions", "lift.general_terms", "sat.conflicts",
         "bdd.cache_hits",
         "fraig.merges", "parallel.items", "verify.sim_refutations",
-        "worker.reap_signals", "gf.irreducibility_tests"}) {
+        "worker.reap_signals", "gf.irreducibility_tests", "certify.runs",
+        "certify.points", "witness.backfills"}) {
     EXPECT_TRUE(snap.count(name)) << "missing pre-registered metric " << name;
   }
 }
@@ -140,6 +141,41 @@ TEST_F(ObsTest, SimRefutationsCountPairsRefutedBeforeTheChain) {
   ASSERT_TRUE(refuted.ok());
   ASSERT_EQ(refuted->verdict, engine::Verdict::kNotEquivalent);
   EXPECT_EQ(Metrics::instance().counter("verify.sim_refutations").value(), 1u);
+}
+
+TEST_F(ObsTest, CertificationAndWitnessBackfillAreSpannedAndCounted) {
+  set_metrics_enabled(true);
+  set_trace_enabled(true);
+  Metrics::instance().reset_all();
+  Tracer::instance().clear();
+  const Gf2k field = Gf2k::make(8);
+  const Netlist spec = make_mastrovito_multiplier(field);
+  const engine::EngineRegistry& registry = engine::EngineRegistry::global();
+  engine::RunOptions certified;
+  certified.certify = true;
+  const engine::EngineRun equal =
+      engine::run_engine(*registry.find("abstraction"), spec,
+                         make_montgomery_multiplier_flat(field), field,
+                         certified);
+  ASSERT_TRUE(equal.status.ok()) << equal.status.to_string();
+  EXPECT_EQ(Metrics::instance().counter("certify.runs").value(), 1u);
+  EXPECT_EQ(Metrics::instance().counter("certify.points").value(),
+            static_cast<std::uint64_t>(equal.stats.at("certify_points")));
+  EXPECT_EQ(Metrics::instance().counter("witness.backfills").value(), 0u);
+  // Ideal membership decides without a witness of its own, so run_engine
+  // searches for one.
+  const engine::EngineRun refuted = engine::run_engine(
+      *registry.find("ideal-membership"), spec,
+      inject_random_bug(make_montgomery_multiplier_flat(field), 1), field,
+      {});
+  ASSERT_EQ(refuted.verdict, engine::Verdict::kNotEquivalent);
+  EXPECT_EQ(Metrics::instance().counter("witness.backfills").value(), 1u);
+  EXPECT_EQ(Metrics::instance().counter("certify.runs").value(), 1u);
+  std::map<std::string, std::string> spans;
+  for (const TraceEvent& e : Tracer::instance().events())
+    spans[e.name] = e.category;
+  EXPECT_EQ(spans["certify"], "engine");
+  EXPECT_EQ(spans["witness_backfill"], "engine");
 }
 
 TEST_F(ObsTest, ReapSignalsStayZeroForCleanWorkersAndCountAHang) {

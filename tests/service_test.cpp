@@ -226,6 +226,39 @@ TEST(ServiceProtocol, DecodeRejectsGarbage) {
 // ---------------------------------------------------------------------------
 // Socket lifecycle.
 
+// The job-response bytes from before the outcome's JSON moved into shared
+// writers (engine/report.h): clients parse these.
+service::JobResponse golden_refuted_job() {
+  service::JobResponse resp;
+  resp.id = 7;
+  resp.verdict = engine::Verdict::kNotEquivalent;
+  resp.detail = "coefficients differ on 1 monomial(s)";
+  resp.counterexample.inputs["A"] = "α^2";
+  resp.counterexample.inputs["B"] = "1";
+  resp.counterexample.output_word = "Z";
+  resp.counterexample.expected = "α^2";
+  resp.counterexample.actual = "0";
+  resp.counterexample.replayed = true;
+  resp.wall_ms = 9.75;
+  resp.cache = "hit";
+  resp.stats["cache_hit"] = 1;
+  return resp;
+}
+
+service::JobResponse golden_crashed_job() {
+  service::JobResponse resp;
+  resp.id = 8;
+  resp.status = Status::worker_crashed("worker killed by signal 11");
+  resp.wall_ms = 0.5;
+  return resp;
+}
+TEST(ServiceProtocol, ResponseEncodingKeepsItsBytes) {
+  EXPECT_EQ(service::encode_job_response(golden_refuted_job()),
+            R"json({"op":"verify","id":7,"status":"kOk","verdict":"not-equivalent","detail":"coefficients differ on 1 monomial(s)","counterexample":{"inputs":{"A":"α^2","B":"1"},"output_word":"Z","expected":"α^2","actual":"0","replayed":true},"wall_ms":9.75,"cache":"hit","stats":{"cache_hit":1}})json");
+  EXPECT_EQ(service::encode_job_response(golden_crashed_job()),
+            R"json({"op":"verify","id":8,"status":"kWorkerCrashed","message":"worker killed by signal 11","verdict":"unknown","wall_ms":0.5})json");
+}
+
 TEST(Service, StaleSocketReplacedLiveSocketRefused) {
   const std::string path = temp_dir() + "/gfa.sock";
   // Manufacture a stale socket file: bind, then close without unlinking —

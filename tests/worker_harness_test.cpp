@@ -1,8 +1,9 @@
 // Tests for the process-isolation layer (src/worker/): the length-prefixed
 // frame protocol and its JSON codecs, supervised forked runs, termination
 // classification (clean exit, injected crash, real SIGKILL, hang past the
-// wall clock), retry-with-backoff, and the portfolio falling through a
-// crashed isolated attempt. The CI job runs this under ASan+UBSan: every
+// wall clock), retry-with-backoff, the portfolio falling through a crashed
+// isolated attempt, and the portfolio's certify-once and counterexample
+// rules, in-process and over isolated attempts alike. The CI job runs this under ASan+UBSan: every
 // fork/kill path must stay clean.
 
 #include <gtest/gtest.h>
@@ -20,8 +21,10 @@
 
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
+#include "circuit/mutate.h"
 #include "circuit/parser.h"
 #include "engine/registry.h"
+#include "obs/metrics.h"
 #include "util/fault_inject.h"
 #include "worker/harness.h"
 #include "worker/protocol.h"
@@ -63,26 +66,33 @@ Instance make_instance(unsigned k) {
 // Wire protocol.
 
 TEST(WorkerProtocol, RequestCodecRoundTrips) {
+  // Every wire-carried field away from its default, so a field the codec
+  // drops shows up as a mismatch.
   WorkerRequest req;
   req.spec_path = "/tmp/a \"quoted\".net";
   req.impl_path = "/tmp/b.net";
   req.k = 163;
   req.engine = "portfolio";
   req.timeout_seconds = 12.5;
-  req.sat_conflict_limit = 1000;
-  req.bdd_node_limit = 2000;
-  req.max_terms = 3000;
-  req.gb_max_reductions = 4000;
-  req.gb_max_poly_terms = 5000;
-  req.memory_budget_bytes = std::uint64_t{3} << 30;
-  req.attempt_timeout_seconds = 1.25;
-  req.portfolio_engines = {"abstraction", "sat"};
-  req.portfolio_race = false;
-  req.checkpoint_dir = "/tmp/ck";
-  req.checkpoint_interval = 500;
-  req.checkpoint_resume = true;
-  req.simulate_crash = false;
+  req.options.sat_conflict_limit = 1000;
+  req.options.bdd_node_limit = 2000;
+  req.options.max_terms = 3000;
+  req.options.gb_max_reductions = 4000;
+  req.options.gb_max_poly_terms = 5000;
+  req.options.memory_budget_bytes = std::size_t{3} << 30;
+  req.options.attempt_timeout_seconds = 1.25;
+  req.options.portfolio_engines = {"abstraction", "sat"};
+  req.options.portfolio_race = true;
+  req.options.checkpoint_dir = "/tmp/ck";
+  req.options.checkpoint_interval = 500;
+  req.options.checkpoint_resume = true;
+  req.options.export_canonical = true;
+  req.options.certify = true;
+  req.simulate_crash = true;
   req.simulate_hang = true;
+  req.heartbeat_interval_seconds = 0.25;
+  req.stall_timeout_seconds = 7.5;
+  req.trace = true;
   const Result<WorkerRequest> back = decode_request(encode_request(req));
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   EXPECT_EQ(back->spec_path, req.spec_path);
@@ -90,19 +100,31 @@ TEST(WorkerProtocol, RequestCodecRoundTrips) {
   EXPECT_EQ(back->k, req.k);
   EXPECT_EQ(back->engine, req.engine);
   EXPECT_EQ(back->timeout_seconds, req.timeout_seconds);
-  EXPECT_EQ(back->sat_conflict_limit, req.sat_conflict_limit);
-  EXPECT_EQ(back->bdd_node_limit, req.bdd_node_limit);
-  EXPECT_EQ(back->max_terms, req.max_terms);
-  EXPECT_EQ(back->gb_max_reductions, req.gb_max_reductions);
-  EXPECT_EQ(back->gb_max_poly_terms, req.gb_max_poly_terms);
-  EXPECT_EQ(back->memory_budget_bytes, req.memory_budget_bytes);
-  EXPECT_EQ(back->attempt_timeout_seconds, req.attempt_timeout_seconds);
-  EXPECT_EQ(back->portfolio_engines, req.portfolio_engines);
-  EXPECT_EQ(back->checkpoint_dir, req.checkpoint_dir);
-  EXPECT_EQ(back->checkpoint_interval, req.checkpoint_interval);
-  EXPECT_TRUE(back->checkpoint_resume);
-  EXPECT_FALSE(back->simulate_crash);
+  const engine::RunOptions& o = back->options;
+  EXPECT_EQ(o.sat_conflict_limit, req.options.sat_conflict_limit);
+  EXPECT_EQ(o.bdd_node_limit, req.options.bdd_node_limit);
+  EXPECT_EQ(o.max_terms, req.options.max_terms);
+  EXPECT_EQ(o.gb_max_reductions, req.options.gb_max_reductions);
+  EXPECT_EQ(o.gb_max_poly_terms, req.options.gb_max_poly_terms);
+  EXPECT_EQ(o.memory_budget_bytes, req.options.memory_budget_bytes);
+  EXPECT_EQ(o.attempt_timeout_seconds, req.options.attempt_timeout_seconds);
+  EXPECT_EQ(o.portfolio_engines, req.options.portfolio_engines);
+  EXPECT_TRUE(o.portfolio_race);
+  EXPECT_EQ(o.checkpoint_dir, req.options.checkpoint_dir);
+  EXPECT_EQ(o.checkpoint_interval, req.options.checkpoint_interval);
+  EXPECT_TRUE(o.checkpoint_resume);
+  EXPECT_TRUE(o.export_canonical);
+  EXPECT_TRUE(o.certify);
+  EXPECT_TRUE(back->simulate_crash);
   EXPECT_TRUE(back->simulate_hang);
+  EXPECT_EQ(back->heartbeat_interval_seconds, 0.25);
+  EXPECT_EQ(back->stall_timeout_seconds, 7.5);
+  EXPECT_TRUE(back->trace);
+  // The child builds its own control from timeout_seconds; the isolation
+  // settings are the parent portfolio's business and stay home.
+  EXPECT_TRUE(o.control.deadline.is_infinite());
+  EXPECT_FALSE(o.isolate_attempts);
+  EXPECT_TRUE(o.worker_spec_path.empty());
 }
 
 TEST(WorkerProtocol, RequestDecodeRejectsMissingPathsAndBadK) {
@@ -118,43 +140,75 @@ TEST(WorkerProtocol, RequestDecodeRejectsMissingPathsAndBadK) {
 }
 
 TEST(WorkerProtocol, ResponseCodecRoundTrips) {
-  WorkerResponse resp;
-  resp.status = Status::resource_exhausted("out of terms");
-  resp.verdict = engine::Verdict::kNotEquivalent;
-  resp.detail = "counterexample at A=3";
-  resp.stats["substitutions"] = 123.0;
-  resp.stats["peak_terms"] = 456.0;
-  resp.resumed = true;
-  resp.wall_ms = 78.5;
-  resp.budget_limit_bytes = 1u << 20;
-  resp.budget_peak_bytes = 1234;
+  // The response frame is the child's EngineRun: every wire-carried field
+  // away from its default.
+  engine::EngineRun run;
+  run.status = Status::resource_exhausted("out of terms");
+  run.verdict = engine::Verdict::kNotEquivalent;
+  run.detail = "counterexample at A=3";
+  run.counterexample.inputs["A"] = "α^3 + 1";
+  run.counterexample.output_word = "Z";
+  run.counterexample.expected = "α";
+  run.counterexample.actual = "1";
+  run.counterexample.replayed = true;
+  run.stats["substitutions"] = 123.0;
+  run.stats["peak_terms"] = 456.0;
+  run.resumed = true;
+  run.wall_ms = 78.5;
+  run.budget_limit_bytes = 1u << 20;
+  run.budget_peak_bytes = 1234;
+  run.peak_rss_bytes = std::uint64_t{123} << 20;
+  run.canonical_spec = "spec form";
+  run.canonical_impl = "impl form";
   engine::AttemptRecord a;
   a.engine = "abstraction";
   a.status = Status::worker_crashed("signal 11");
   a.detail = "attempt 1/2";
   a.wall_ms = 3.5;
-  resp.attempts.push_back(a);
+  a.budget_peak_bytes = 2048;
+  a.heartbeats = 4;
+  a.last_phase = "lift";
+  a.last_step = 9;
+  run.attempts.push_back(a);
   engine::AttemptRecord b;
   b.engine = "sat";
+  b.verdict = engine::Verdict::kEquivalent;
   b.skipped = true;
   b.detail = "already decided";
-  resp.attempts.push_back(b);
-  const Result<WorkerResponse> back = decode_response(encode_response(resp));
+  run.attempts.push_back(b);
+  const Result<engine::EngineRun> back = decode_response(encode_response(run));
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   EXPECT_EQ(back->status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(back->status.message(), "out of terms");
   EXPECT_EQ(back->verdict, engine::Verdict::kNotEquivalent);
-  EXPECT_EQ(back->detail, resp.detail);
-  EXPECT_EQ(back->stats, resp.stats);
+  EXPECT_EQ(back->detail, run.detail);
+  EXPECT_EQ(back->counterexample.inputs, run.counterexample.inputs);
+  EXPECT_EQ(back->counterexample.output_word, "Z");
+  EXPECT_EQ(back->counterexample.expected, "α");
+  EXPECT_EQ(back->counterexample.actual, "1");
+  EXPECT_TRUE(back->counterexample.replayed);
+  EXPECT_EQ(back->stats, run.stats);
   EXPECT_TRUE(back->resumed);
-  EXPECT_EQ(back->wall_ms, resp.wall_ms);
-  EXPECT_EQ(back->budget_limit_bytes, resp.budget_limit_bytes);
-  EXPECT_EQ(back->budget_peak_bytes, resp.budget_peak_bytes);
+  EXPECT_EQ(back->wall_ms, run.wall_ms);
+  EXPECT_EQ(back->budget_limit_bytes, run.budget_limit_bytes);
+  EXPECT_EQ(back->budget_peak_bytes, run.budget_peak_bytes);
+  EXPECT_EQ(back->peak_rss_bytes, run.peak_rss_bytes);
+  EXPECT_EQ(back->canonical_spec, "spec form");
+  EXPECT_EQ(back->canonical_impl, "impl form");
   ASSERT_EQ(back->attempts.size(), 2u);
-  EXPECT_EQ(back->attempts[0].engine, "abstraction");
-  EXPECT_EQ(back->attempts[0].status.code(), StatusCode::kWorkerCrashed);
-  EXPECT_FALSE(back->attempts[0].skipped);
+  const engine::AttemptRecord& a2 = back->attempts[0];
+  EXPECT_EQ(a2.engine, "abstraction");
+  EXPECT_EQ(a2.status.code(), StatusCode::kWorkerCrashed);
+  EXPECT_EQ(a2.status.message(), "signal 11");
+  EXPECT_FALSE(a2.skipped);
+  EXPECT_EQ(a2.detail, "attempt 1/2");
+  EXPECT_EQ(a2.wall_ms, 3.5);
+  EXPECT_EQ(a2.budget_peak_bytes, 2048u);
+  EXPECT_EQ(a2.heartbeats, 4u);
+  EXPECT_EQ(a2.last_phase, "lift");
+  EXPECT_EQ(a2.last_step, 9u);
   EXPECT_TRUE(back->attempts[1].skipped);
+  EXPECT_EQ(back->attempts[1].verdict, engine::Verdict::kEquivalent);
   EXPECT_EQ(back->attempts[1].detail, "already decided");
 }
 
@@ -263,12 +317,12 @@ TEST(WorkerProtocol, TelemetryRequestFieldsRoundTrip) {
 }
 
 TEST(WorkerProtocol, ResponsePeakRssRoundTrips) {
-  WorkerResponse resp;
-  resp.status = Status();
-  resp.peak_rss_bytes = std::uint64_t{123} << 20;
-  const Result<WorkerResponse> back = decode_response(encode_response(resp));
+  engine::EngineRun run;
+  run.peak_rss_bytes = std::uint64_t{123} << 20;
+  const Result<engine::EngineRun> back = decode_response(encode_response(run));
   ASSERT_TRUE(back.ok()) << back.status().to_string();
-  EXPECT_EQ(back->peak_rss_bytes, resp.peak_rss_bytes);
+  EXPECT_TRUE(back->status.ok());
+  EXPECT_EQ(back->peak_rss_bytes, run.peak_rss_bytes);
 }
 
 TEST(WorkerProtocol, FrameKindDiscriminatesTheStream) {
@@ -658,6 +712,100 @@ TEST(WorkerHarness, IsolatedAttemptsNeedTheCircuitPaths) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
+
+// ---------------------------------------------------------------------------
+// The portfolio's verdict is the deciding attempt's, certified once — the
+// same in-process and over isolated attempts.
+
+/// Runs the portfolio through run_engine() on the instance's files, with its
+/// attempts in-process or forked.
+engine::EngineRun run_portfolio(const std::string& spec_path,
+                                const std::string& impl_path, unsigned k,
+                                bool isolate, bool certify) {
+  const Gf2k field = Gf2k::make(k);
+  const Result<Netlist> spec = try_read_netlist_file(spec_path);
+  const Result<Netlist> impl = try_read_netlist_file(impl_path);
+  EXPECT_TRUE(spec.ok() && impl.ok());
+  engine::RunOptions options;
+  options.certify = certify;
+  options.isolate_attempts = isolate;
+  options.worker_spec_path = spec_path;
+  options.worker_impl_path = impl_path;
+  return engine::run_engine(*engine::EngineRegistry::global().find("portfolio"),
+                            *spec, *impl, field, options);
+}
+
+class PortfolioModes : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override { obs::set_metrics_enabled(true); }
+  void TearDown() override { obs::set_metrics_enabled(false); }
+};
+
+TEST_P(PortfolioModes, CertifiesTheFinalVerdictExactlyOnce) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
+  Disarmer disarm;
+  const Instance inst = make_instance(8);
+  // The first certification is the portfolio's own: it fails the run
+  // instead of sending the portfolio on to the next engine.
+  ASSERT_TRUE(fault::arm_spec("certify:mismatch:1").ok());
+  obs::Metrics::instance().reset_all();
+  const engine::EngineRun failed = run_portfolio(
+      inst.req.spec_path, inst.req.impl_path, 8, GetParam(), true);
+  EXPECT_TRUE(fault::fired());
+  EXPECT_EQ(failed.status.code(), StatusCode::kCertificationFailed)
+      << failed.status.to_string();
+  EXPECT_EQ(exit_code_for(failed.status.code()), 73);
+  ASSERT_FALSE(failed.attempts.empty());
+  EXPECT_EQ(failed.attempts[0].engine, "abstraction");
+  EXPECT_TRUE(failed.attempts[0].status.ok());
+  // There is no second certification for a fault at hit 2 to trip.
+  fault::disarm();
+  ASSERT_TRUE(fault::arm_spec("certify:mismatch:2").ok());
+  obs::Metrics::instance().reset_all();
+  const engine::EngineRun passed = run_portfolio(
+      inst.req.spec_path, inst.req.impl_path, 8, GetParam(), true);
+  EXPECT_FALSE(fault::fired());
+  ASSERT_TRUE(passed.status.ok()) << passed.status.to_string();
+  EXPECT_EQ(passed.verdict, engine::Verdict::kEquivalent);
+  EXPECT_EQ(obs::Metrics::instance().counter("certify.runs").value(), 1u);
+  EXPECT_GT(obs::Metrics::instance().counter("certify.points").value(), 0u);
+  EXPECT_GT(passed.stats.at("certify_points"), 0.0);
+}
+
+TEST_P(PortfolioModes, KeepsTheDecidingAttemptsCounterexample) {
+  const Instance inst = make_instance(8);
+  const std::string mutant = inst.dir + "/mutant.net";
+  const Result<Netlist> impl = try_read_netlist_file(inst.req.impl_path);
+  ASSERT_TRUE(impl.ok());
+  write_netlist_file(inject_random_bug(*impl, 3), mutant);
+  const Gf2k field = Gf2k::make(8);
+  const Result<Netlist> spec = try_read_netlist_file(inst.req.spec_path);
+  const Result<Netlist> bug = try_read_netlist_file(mutant);
+  ASSERT_TRUE(spec.ok() && bug.ok());
+  const engine::EngineRun alone = engine::run_engine(
+      *engine::EngineRegistry::global().find("abstraction"), *spec, *bug,
+      field, {});
+  ASSERT_EQ(alone.verdict, engine::Verdict::kNotEquivalent);
+  ASSERT_TRUE(alone.counterexample.replayed);
+
+  obs::Metrics::instance().reset_all();
+  const engine::EngineRun run =
+      run_portfolio(inst.req.spec_path, mutant, 8, GetParam(), false);
+  ASSERT_TRUE(run.status.ok()) << run.status.to_string();
+  EXPECT_EQ(run.verdict, engine::Verdict::kNotEquivalent);
+  EXPECT_EQ(run.counterexample.inputs, alone.counterexample.inputs);
+  EXPECT_EQ(run.counterexample.output_word, alone.counterexample.output_word);
+  EXPECT_EQ(run.counterexample.expected, alone.counterexample.expected);
+  EXPECT_EQ(run.counterexample.actual, alone.counterexample.actual);
+  EXPECT_TRUE(run.counterexample.replayed);
+  EXPECT_EQ(obs::Metrics::instance().counter("witness.backfills").value(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(InProcessAndIsolated, PortfolioModes,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Isolated" : "InProcess";
+                         });
 
 }  // namespace
 }  // namespace gfa::worker

@@ -34,7 +34,7 @@
 #include <string_view>
 #include <vector>
 
-#include "engine/engine.h"
+#include "engine/report.h"
 #include "service/client.h"
 #include "util/json_writer.h"
 #include "util/parse_number.h"
@@ -159,25 +159,10 @@ void write_batch_report(const std::string& path,
     w.member("impl", o.request.impl_path);
     w.member("k", o.request.k);
     w.member("engine", o.request.engine);
-    w.member("status", status_code_name(o.response.status.code()));
-    if (!o.response.status.ok())
-      w.member("message", o.response.status.message());
+    engine::write_status(w, o.response.status, /*with_message=*/true);
     w.member("verdict", engine::verdict_name(o.response.verdict));
     if (!o.response.detail.empty()) w.member("detail", o.response.detail);
-    if (!o.response.counterexample.empty()) {
-      w.key("counterexample");
-      w.begin_object();
-      w.key("inputs");
-      w.begin_object();
-      for (const auto& [name, elem] : o.response.counterexample.inputs)
-        w.member(name, elem);
-      w.end_object();
-      w.member("output_word", o.response.counterexample.output_word);
-      w.member("expected", o.response.counterexample.expected);
-      w.member("actual", o.response.counterexample.actual);
-      w.member("replayed", o.response.counterexample.replayed);
-      w.end_object();
-    }
+    engine::write_counterexample(w, o.response.counterexample);
     w.member("wall_ms", o.response.wall_ms);
     if (!o.response.cache.empty()) w.member("cache", o.response.cache);
     w.end_object();

@@ -108,25 +108,21 @@ void save(const Netlist& nl, const std::string& path) {
 /// `--engine=x` / `--timeout=1.5` / `--report=out.json` / `--engines=a,b` /
 /// `--trace=t.json` / `--log-level=info` / boolean `--metrics`. Value flags
 /// also accept the space-separated form (`--engine abstraction`). Positional
-/// arguments land in `positional` in order.
+/// arguments land in `positional` in order; the engine settings land in
+/// `options`, which every command's engine run starts from.
 struct Flags {
   std::vector<std::string> positional;
   std::string engine = "abstraction";
-  std::string engines;  // compare: comma-separated subset, empty = all
+  std::vector<std::string> engines;  // compare: a subset, empty = all
   double timeout_seconds = 0;  // 0 = unbounded
   std::string report;
   std::string trace;    // Chrome trace-event output file, empty = off
   bool metrics = false;
   std::string log_level;  // empty = GFA_LOG / default
-  std::uint64_t memory_budget_bytes = 0;  // 0 = unbounded
-  double attempt_timeout_seconds = 0;     // portfolio per-attempt cap
-  std::string portfolio_engines;  // comma-separated order, empty = default
-  bool race = false;              // portfolio: race instead of escalate
-  bool certify = false;           // cross-check kEquivalent by simulation
+  engine::RunOptions options;
   std::string inject;             // fault site spec, empty = off
   // Worker isolation & recovery (verify only).
   bool isolate = false;           // fork the engine into a supervised child
-  bool isolate_attempts = false;  // portfolio: fork each attempt
   unsigned retries = 0;           // extra isolated attempts after the first
   bool retries_set = false;       // --retries given (needs --isolate)
   double retry_backoff_seconds = 0.25;
@@ -134,11 +130,21 @@ struct Flags {
   double retry_budget_escalation = 1.0;
   double heartbeat_interval_seconds = 1.0;  // worker telemetry cadence; 0 = off
   double stall_timeout_seconds = 0.0;       // 0 = stall detector off
-  std::string checkpoint_dir;        // empty = checkpointing off
-  std::uint64_t checkpoint_interval = 0;  // 0 = library default
-  bool resume = false;               // load a matching checkpoint if present
   unsigned threads = 0;              // 0 = GFA_THREADS / hardware default
 };
+
+/// Splits a comma-separated engine list, dropping empty names.
+std::vector<std::string> split_names(std::string_view list) {
+  std::vector<std::string> names;
+  while (!list.empty()) {
+    const std::size_t comma = list.find(',');
+    const std::string_view name = list.substr(0, comma);
+    if (!name.empty()) names.emplace_back(name);
+    list = comma == std::string_view::npos ? std::string_view{}
+                                           : list.substr(comma + 1);
+  }
+  return names;
+}
 
 Result<Flags> parse_flags(int argc, char** argv) {
   Flags flags;
@@ -147,7 +153,7 @@ Result<Flags> parse_flags(int argc, char** argv) {
     if (name == "--engine") {
       flags.engine = value;
     } else if (name == "--engines") {
-      flags.engines = value;
+      flags.engines = split_names(value);
     } else if (name == "--timeout") {
       Result<double> t = parse_double(value, 0.0, 1e9);
       if (!t.ok()) return t.status();
@@ -163,13 +169,13 @@ Result<Flags> parse_flags(int argc, char** argv) {
     } else if (name == "--memory-budget") {
       Result<std::uint64_t> bytes = parse_byte_size(value);
       if (!bytes.ok()) return bytes.status();
-      flags.memory_budget_bytes = *bytes;
+      flags.options.memory_budget_bytes = static_cast<std::size_t>(*bytes);
     } else if (name == "--attempt-timeout") {
       Result<double> t = parse_double(value, 0.0, 1e9);
       if (!t.ok()) return t.status();
-      flags.attempt_timeout_seconds = *t;
+      flags.options.attempt_timeout_seconds = *t;
     } else if (name == "--portfolio-engines") {
-      flags.portfolio_engines = value;
+      flags.options.portfolio_engines = split_names(value);
     } else if (name == "--inject") {
       flags.inject = value;
     } else if (name == "--retries") {
@@ -198,11 +204,11 @@ Result<Flags> parse_flags(int argc, char** argv) {
       if (!d.ok()) return d.status();
       flags.stall_timeout_seconds = *d;
     } else if (name == "--checkpoint") {
-      flags.checkpoint_dir = value;
+      flags.options.checkpoint_dir = value;
     } else if (name == "--checkpoint-interval") {
       Result<std::uint64_t> n = parse_u64(value, 1);
       if (!n.ok()) return n.status();
-      flags.checkpoint_interval = *n;
+      flags.options.checkpoint_interval = *n;
     } else if (name == "--threads") {
       // Same domain as GFA_THREADS; 0 and garbage are rejected here as
       // kInvalidArgument (exit 66, like a bad engine name) so the pool
@@ -229,11 +235,11 @@ Result<Flags> parse_flags(int argc, char** argv) {
       continue;
     }
     if (arg == "--race") {
-      flags.race = true;
+      flags.options.portfolio_race = true;
       continue;
     }
     if (arg == "--certify") {
-      flags.certify = true;
+      flags.options.certify = true;
       continue;
     }
     if (arg == "--isolate") {
@@ -241,11 +247,11 @@ Result<Flags> parse_flags(int argc, char** argv) {
       continue;
     }
     if (arg == "--isolate-attempts") {
-      flags.isolate_attempts = true;
+      flags.options.isolate_attempts = true;
       continue;
     }
     if (arg == "--resume") {
-      flags.resume = true;
+      flags.options.checkpoint_resume = true;
       continue;
     }
     const std::size_t eq = arg.find('=');
@@ -298,27 +304,11 @@ void maybe_print_metrics(const Flags& flags) {
   }
 }
 
+/// The flags' engine settings under a deadline that starts now.
 engine::RunOptions run_options_from(const Flags& flags) {
-  engine::RunOptions options;
+  engine::RunOptions options = flags.options;
   if (flags.timeout_seconds > 0)
     options.control.deadline = Deadline::after(flags.timeout_seconds);
-  options.memory_budget_bytes =
-      static_cast<std::size_t>(flags.memory_budget_bytes);
-  options.attempt_timeout_seconds = flags.attempt_timeout_seconds;
-  options.portfolio_race = flags.race;
-  options.certify = flags.certify;
-  options.isolate_attempts = flags.isolate_attempts;
-  options.checkpoint_dir = flags.checkpoint_dir;
-  options.checkpoint_interval = flags.checkpoint_interval;
-  options.checkpoint_resume = flags.resume;
-  std::string_view rest = flags.portfolio_engines;
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    const std::string_view name = rest.substr(0, comma);
-    if (!name.empty()) options.portfolio_engines.emplace_back(name);
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-  }
   return options;
 }
 
@@ -406,44 +396,14 @@ int cmd_extract(const Flags& flags) {
   return 0;
 }
 
-/// Builds the request one isolated `verify` run ships to its forked worker:
-/// the circuit *paths* (the child parses them itself — a parse crash then
-/// stays inside the sandbox too) plus every engine limit the flags carry.
-worker::WorkerRequest worker_request_from(const Flags& flags, unsigned k) {
-  worker::WorkerRequest req;
-  req.spec_path = flags.positional[0];
-  req.impl_path = flags.positional[1];
-  req.k = k;
-  req.engine = flags.engine;
-  req.timeout_seconds = flags.timeout_seconds;
-  req.memory_budget_bytes = flags.memory_budget_bytes;
-  req.attempt_timeout_seconds = flags.attempt_timeout_seconds;
-  req.portfolio_race = flags.race;
-  req.certify = flags.certify;
-  std::string_view rest = flags.portfolio_engines;
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    const std::string_view name = rest.substr(0, comma);
-    if (!name.empty()) req.portfolio_engines.emplace_back(name);
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-  }
-  req.checkpoint_dir = flags.checkpoint_dir;
-  req.checkpoint_interval = flags.checkpoint_interval;
-  req.checkpoint_resume = flags.resume;
-  req.heartbeat_interval_seconds = flags.heartbeat_interval_seconds;
-  req.stall_timeout_seconds = flags.stall_timeout_seconds;
-  return req;
-}
-
 Status check_verify_flags(const Flags& flags) {
   if (flags.retries_set && !flags.isolate)
     return Status::invalid_argument(
         "--retries only applies to isolated runs; add --isolate");
-  if (flags.resume && flags.checkpoint_dir.empty())
+  if (flags.options.checkpoint_resume && flags.options.checkpoint_dir.empty())
     return Status::invalid_argument(
         "--resume needs --checkpoint=<dir> to know where checkpoints live");
-  if (flags.isolate && flags.isolate_attempts)
+  if (flags.isolate && flags.options.isolate_attempts)
     return Status::invalid_argument(
         "--isolate already forks the whole run; drop --isolate-attempts");
   if (flags.stall_timeout_seconds > 0 && !flags.isolate)
@@ -470,8 +430,18 @@ int cmd_verify(const Flags& flags) {
     policy.backoff_seconds = flags.retry_backoff_seconds;
     policy.jitter_seed = flags.retry_seed;
     policy.budget_escalation = flags.retry_budget_escalation;
-    run = worker::run_isolated_with_retry(worker_request_from(flags, *k),
-                                          policy);
+    // The child gets the circuit *paths* and parses them itself, so a parse
+    // crash stays inside the sandbox too.
+    worker::WorkerRequest req;
+    req.spec_path = flags.positional[0];
+    req.impl_path = flags.positional[1];
+    req.k = *k;
+    req.engine = flags.engine;
+    req.timeout_seconds = flags.timeout_seconds;
+    req.options = flags.options;
+    req.heartbeat_interval_seconds = flags.heartbeat_interval_seconds;
+    req.stall_timeout_seconds = flags.stall_timeout_seconds;
+    run = worker::run_isolated_with_retry(req, policy);
   } else {
     const Result<Netlist> spec = load(flags.positional[0]);
     if (!spec.ok()) return fail(spec.status());
@@ -483,7 +453,7 @@ int cmd_verify(const Flags& flags) {
         engine::EngineRegistry::global().require(flags.engine);
     if (!eng.ok()) return fail(eng.status());
     engine::RunOptions options = run_options_from(flags);
-    if (flags.isolate_attempts) {
+    if (options.isolate_attempts) {
       // The portfolio forks each attempt; its workers re-read the circuits
       // from disk, so hand the paths through.
       options.worker_spec_path = flags.positional[0];
@@ -537,19 +507,11 @@ int cmd_compare(const Flags& flags) {
 
   const engine::EngineRegistry& registry = engine::EngineRegistry::global();
   std::vector<const engine::EquivEngine*> engines;
-  if (flags.engines.empty()) {
-    engines = registry.engines();
-  } else {
-    std::string_view rest = flags.engines;
-    while (!rest.empty()) {
-      const std::size_t comma = rest.find(',');
-      const std::string_view name = rest.substr(0, comma);
-      rest = comma == std::string_view::npos ? std::string_view{}
-                                             : rest.substr(comma + 1);
-      Result<const engine::EquivEngine*> eng = registry.require(name);
-      if (!eng.ok()) return fail(eng.status());
-      engines.push_back(*eng);
-    }
+  if (flags.engines.empty()) engines = registry.engines();
+  for (const std::string& name : flags.engines) {
+    Result<const engine::EquivEngine*> eng = registry.require(name);
+    if (!eng.ok()) return fail(eng.status());
+    engines.push_back(*eng);
   }
 
   std::vector<engine::EngineRun> runs;
