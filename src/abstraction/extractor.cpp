@@ -10,12 +10,10 @@
 #include "abstraction/rewriter.h"
 #include "abstraction/word_lift.h"
 #include "obs/flight_recorder.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "util/parallel_for.h"
-#include "worker/checkpoint.h"
 
 namespace gfa {
 
@@ -37,74 +35,6 @@ void report_phase(const char* phase, std::uint64_t step, std::uint64_t total,
     obs::report_progress(p);
     obs::flight::note(phase, step, terms);
   }
-}
-
-/// Resolved checkpoint plumbing for one extract_for_word call: the file this
-/// (circuit, word) pair maps to, plus the saved state when resuming.
-struct CheckpointPlan {
-  bool active = false;
-  std::uint64_t interval = 0;
-  std::string path;
-  std::uint64_t circuit_hash = 0;
-  /// Non-empty terms + step > 0 when a valid matching checkpoint was loaded.
-  std::uint64_t resume_step = 0;
-  std::vector<std::pair<BitMono, Gf2Poly>> resume_terms;
-  bool resumed = false;
-};
-
-CheckpointPlan plan_checkpoint(const Netlist& netlist, unsigned k,
-                               const Word* out_word,
-                               const ExtractionOptions& options) {
-  CheckpointPlan plan;
-  const ExtractionCheckpoint* ck = options.checkpoint;
-  if (ck == nullptr || ck->directory.empty()) return plan;
-  plan.active = true;
-  plan.interval = ck->interval == 0 ? 1000 : ck->interval;
-  plan.circuit_hash = worker::netlist_content_hash(netlist);
-  plan.path =
-      worker::checkpoint_path(ck->directory, plan.circuit_hash, out_word->name);
-  if (!ck->resume) return plan;
-  Result<worker::ReductionCheckpoint> loaded =
-      worker::load_checkpoint(plan.path);
-  if (!loaded.ok()) {
-    GFA_LOG_WARN("extract", "cannot resume: " << loaded.status().message()
-                                              << "; starting fresh");
-    return plan;
-  }
-  if (loaded->k != k || loaded->circuit_hash != plan.circuit_hash ||
-      loaded->word != out_word->name) {
-    GFA_LOG_WARN("extract",
-                 "checkpoint '" << plan.path
-                                << "' was written for a different "
-                                   "circuit/field/word; starting fresh");
-    return plan;
-  }
-  plan.resume_step = loaded->step;
-  plan.resume_terms = std::move(loaded->terms);
-  plan.resumed = true;
-  GFA_LOG_INFO("extract", "resuming word '" << out_word->name << "' at step "
-                                            << plan.resume_step);
-  return plan;
-}
-
-/// Snapshots the rewriter's term map in a deterministic (sorted) order and
-/// writes it. Save failures are logged, not fatal — checkpointing is an
-/// optimization, never a correctness dependency.
-void save_progress(const CheckpointPlan& plan, const Word* out_word,
-                   unsigned k, std::uint64_t step,
-                   const BackwardRewriter::TermMap& terms) {
-  worker::ReductionCheckpoint cp;
-  cp.k = k;
-  cp.circuit_hash = plan.circuit_hash;
-  cp.word = out_word->name;
-  cp.step = step;
-  cp.terms.reserve(terms.size());
-  for (const auto& [mono, coeff] : terms)
-    cp.terms.emplace_back(mono, coeff);
-  std::sort(cp.terms.begin(), cp.terms.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (const Status s = worker::save_checkpoint(plan.path, cp); !s.ok())
-    GFA_LOG_WARN("extract", "checkpoint save failed: " << s.message());
 }
 
 WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
@@ -137,9 +67,7 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
   };
 
   ExtractionStats stats;
-  CheckpointPlan ckpt = plan_checkpoint(netlist, k, out_word, options);
-  stats.resumed = ckpt.resumed;
-  BackwardRewriter chain(field, std::move(substitutable), options.max_terms,
+  BackwardRewriter chain(std::move(substitutable), options.max_terms,
                          options.control);
   try {
     std::vector<NetId> rato;
@@ -151,54 +79,33 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
       rato = rato_net_order(netlist);
     }
     const obs::TraceSpan chain_span("reduction_chain", "abstraction");
-    if (ckpt.resumed) {
-      // Seed the chain with the checkpointed intermediate polynomial (the
-      // occurrence index rebuilds through add()); the first resume_step
-      // substitutions of the deterministic RATO chain are already folded in.
-      for (auto& [mono, coeff] : ckpt.resume_terms)
-        chain.add(std::move(mono), std::move(coeff));
-      ckpt.resume_terms.clear();
-    } else {
-      for (unsigned j = 0; j < k; ++j)
-        chain.add(BitMono{out_word->bits[j]}, basis_elem(j));
-    }
+    for (unsigned j = 0; j < k; ++j)
+      chain.add(BitMono{out_word->bits[j]}, basis_elem(j));
     std::vector<NetId> gates;
     gates.reserve(rato.size());
     for (NetId n : rato)
       if (!is_input[n]) gates.push_back(n);
-    // The chain runs in segments of one checkpoint interval (the whole chain
-    // when neither checkpointing nor a progress sink is active); segment
-    // ends are where snapshots and heartbeat progress reports happen. A sink
-    // alone segments at the default checkpoint cadence: segmentation only
-    // bounds how stale a heartbeat's step count can get.
-    const bool segmented = ckpt.active || obs::progress_active();
-    const std::uint64_t interval =
-        ckpt.active ? ckpt.interval : std::uint64_t{1000};
-    std::uint64_t step = ckpt.resume_step;
+    // With a progress sink active the chain runs in 1000-gate segments,
+    // reporting at each segment end: segmentation only bounds how stale a
+    // heartbeat's step count can get. Without one it is a single segment.
+    const bool segmented = obs::progress_active();
+    std::uint64_t step = 0;
     report_phase("reduction_chain", step, gates.size(), chain.num_terms(),
                  options.control);
     while (step < gates.size()) {
       const std::uint64_t end =
-          segmented ? std::min<std::uint64_t>(step + interval, gates.size())
+          segmented ? std::min<std::uint64_t>(step + 1000, gates.size())
                     : gates.size();
       chain.run_segment(netlist, gates, step, end);
-      stats.substitutions += end - step;
       step = end;
-      if (ckpt.active && step < gates.size()) {
-        save_progress(ckpt, out_word, k, step, chain.terms());
-        if (obs::progress_active())
-          obs::flight::note("checkpoint:save", step, chain.num_terms());
-      }
       report_phase("reduction_chain", step, gates.size(), chain.num_terms(),
                    options.control);
     }
+    stats.substitutions = gates.size();
     stats.peak_terms = chain.peak_terms();
   } catch (const RewriteBudgetExceeded& e) {
     throw ExtractionBudgetExceeded(e.what());
   }
-  // The chain is done; a leftover checkpoint would only invite a pointless
-  // (if harmless) resume of a finished run.
-  if (ckpt.active) worker::remove_checkpoint(ckpt.path);
   GFA_COUNT("extract.words", 1);
   GFA_COUNT("extract.substitutions", stats.substitutions);
   GFA_COUNT("reduction_steps", stats.substitutions);

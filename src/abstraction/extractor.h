@@ -38,20 +38,6 @@ namespace gfa {
 
 class WordLift;
 
-/// Checkpoint/resume of the backward-rewriting chain (storage format and
-/// integrity rules in src/worker/checkpoint.h). Progress is saved every
-/// `interval` substitution steps under `directory`, keyed by the circuit's
-/// content hash and the output word, and removed after a completed
-/// extraction. With `resume` set, a matching checkpoint seeds the rewriter
-/// and the first `step` substitutions are skipped; a missing, damaged, or
-/// mismatched (different circuit/k/word) checkpoint falls back to a fresh
-/// start — a stale file can cost time, never correctness.
-struct ExtractionCheckpoint {
-  std::string directory;
-  std::uint64_t interval = 1000;
-  bool resume = false;
-};
-
 struct ExtractionOptions {
   /// Abort when the intermediate polynomial exceeds this many terms
   /// (0 = unlimited). Tripping raises ExtractionBudgetExceeded.
@@ -65,13 +51,11 @@ struct ExtractionOptions {
   /// the polynomial basis {α^i}; pass a NormalBasis::basis() for circuits
   /// whose words are normal-basis coordinates (e.g. Massey–Omura multipliers).
   const std::vector<Gf2k::Elem>* basis = nullptr;
-  /// Deadline/cancellation, checkpointed per gate substitution in the
+  /// Deadline/cancellation, polled per gate substitution in the
   /// backward-rewriting loop, inside the Frobenius lift, and per chunk of any
   /// internal parallel_for. Expiry unwinds via StatusError; the try_* entry
   /// points below convert it to a Status.
   const ExecControl* control = nullptr;
-  /// Periodic reduction-chain checkpointing (null = off; see above).
-  const ExtractionCheckpoint* checkpoint = nullptr;
 };
 
 struct ExtractionStats {
@@ -80,7 +64,6 @@ struct ExtractionStats {
   std::size_t remainder_terms = 0;   // |r| before the word lift
   std::size_t remainder_degree = 0;  // largest monomial (bit count) in r
   bool case1 = false;                // remainder had no input bits
-  bool resumed = false;              // continued from a reduction checkpoint
 };
 
 /// A circuit's function at word level: Z = g(input words).

@@ -172,8 +172,8 @@ class PackedMono {
   bool operator!=(const PackedMono& o) const { return !(*this == o); }
 
   /// Lexicographic over the id sequence (shorter prefix first) — the same
-  /// order std::vector<VarId>::operator< induces, so renderings and sorted
-  /// checkpoint serializations agree across representations.
+  /// order std::vector<VarId>::operator< induces, so sorted renderings and
+  /// serializations agree across representations.
   bool operator<(const PackedMono& o) const {
     const std::size_t n = size(), m = o.size();
     const std::size_t c = n < m ? n : m;

@@ -30,65 +30,61 @@ inline void timed_substitute(bool sample, Fn&& fn) {
 
 }  // namespace
 
-template <class TailT>
-void BackwardRewriter::substitute_impl(VarId v, const TailT& tail) {
+void BackwardRewriter::substitute(VarId v, const FlatTail& tail) {
   // Flat tails carry implicit all-one coefficients: every expanded term
   // reuses the affected term's coefficient unchanged, and the last expansion
   // moves it (its heap buffer lands in the map without a copy).
-  constexpr bool kFlat = std::is_same_v<TailT, FlatTail>;
   if (occurs_[v].empty()) return;  // v no longer occurs: nothing to rewrite
   OccList pending = std::move(occurs_[v]);
   occurs_[v] = {};
   const std::size_t np = pending.size();
-  if constexpr (kFlat) {
-    if (tail.monos.size() == 2) {
-      // XOR2 — the dominant gate shape — gets a software-pipelined loop.
-      // Every map access here is a random probe into a table far larger
-      // than L2, but each pending term's expansion is a pure function of
-      // (term, v, tail): the next term's find slot, both of its expanded
-      // monomials' insert slots, and its occurrence-list lines can all be
-      // prefetched a full iteration (~several hundred cycles) ahead,
-      // overlapping misses that a naive loop serializes.
-      const auto& ms = tail.monos;
-      BitMono nm0, nm1;  // staged expansion of pending[pi + 1]
-      const auto stage = [&](const BitMono& mono) {
-        terms_.prefetch(mono);
-        const BitMono rest = mono.without(v);
-        nm0 = bitmono_mul(rest, ms[0]);
-        nm1 = bitmono_mul(rest, ms[1]);
-        terms_.prefetch(nm0);
-        terms_.prefetch(nm1);
-        // The inserts append to the occurrence list of every substitutable
-        // variable they mention; those lists scatter through a
-        // multi-megabyte array, so warm them too. (The tail's own
-        // variables go hot after the first term.)
-        for (VarId w : rest)
-          if (substitutable_[w]) __builtin_prefetch(&occurs_[w], 1, 1);
-      };
-      stage(pending[0]);
-      for (std::size_t pi = 0; pi < np; ++pi) {
-        BitMono m0 = std::move(nm0);
-        BitMono m1 = std::move(nm1);
-        const BitMono& mono = pending[pi];
-        const std::size_t b = occ_entry_bytes(mono);
-        occ_bytes_ = occ_bytes_ > b ? occ_bytes_ - b : 0;
-        // The find's slot line was prefetched an iteration ago; probe now,
-        // issue the coefficient heap buffer's prefetch, and only then
-        // stage the next term — by the time the coefficient is moved out
-        // below, its line has had the staging work's latency to arrive.
-        auto it = terms_.find(mono);
-        const bool live = it != terms_.end();
-        if (live) __builtin_prefetch(it->second.words().data(), 1, 1);
-        if (pi + 1 < np) stage(pending[pi + 1]);
-        if (!live) continue;  // cancelled since registration
-        Gf2k::Elem coeff = std::move(it->second);
-        spill_bytes_ -= it->first.spill_bytes();
-        terms_.erase(it);
-        add(std::move(m0), coeff);
-        add(std::move(m1), std::move(coeff));
-      }
-      return;
+  const auto& ms = tail.monos;
+  if (ms.size() == 2) {
+    // XOR2 — the dominant gate shape — gets a software-pipelined loop.
+    // Every map access here is a random probe into a table far larger
+    // than L2, but each pending term's expansion is a pure function of
+    // (term, v, tail): the next term's find slot, both of its expanded
+    // monomials' insert slots, and its occurrence-list lines can all be
+    // prefetched a full iteration (~several hundred cycles) ahead,
+    // overlapping misses that a naive loop serializes.
+    BitMono nm0, nm1;  // staged expansion of pending[pi + 1]
+    const auto stage = [&](const BitMono& mono) {
+      terms_.prefetch(mono);
+      const BitMono rest = mono.without(v);
+      nm0 = bitmono_mul(rest, ms[0]);
+      nm1 = bitmono_mul(rest, ms[1]);
+      terms_.prefetch(nm0);
+      terms_.prefetch(nm1);
+      // The inserts append to the occurrence list of every substitutable
+      // variable they mention; those lists scatter through a
+      // multi-megabyte array, so warm them too. (The tail's own
+      // variables go hot after the first term.)
+      for (VarId w : rest)
+        if (substitutable_[w]) __builtin_prefetch(&occurs_[w], 1, 1);
+    };
+    stage(pending[0]);
+    for (std::size_t pi = 0; pi < np; ++pi) {
+      BitMono m0 = std::move(nm0);
+      BitMono m1 = std::move(nm1);
+      const BitMono& mono = pending[pi];
+      const std::size_t b = occ_entry_bytes(mono);
+      occ_bytes_ = occ_bytes_ > b ? occ_bytes_ - b : 0;
+      // The find's slot line was prefetched an iteration ago; probe now,
+      // issue the coefficient heap buffer's prefetch, and only then
+      // stage the next term — by the time the coefficient is moved out
+      // below, its line has had the staging work's latency to arrive.
+      auto it = terms_.find(mono);
+      const bool live = it != terms_.end();
+      if (live) __builtin_prefetch(it->second.words().data(), 1, 1);
+      if (pi + 1 < np) stage(pending[pi + 1]);
+      if (!live) continue;  // cancelled since registration
+      Gf2k::Elem coeff = std::move(it->second);
+      spill_bytes_ -= it->first.spill_bytes();
+      terms_.erase(it);
+      add(std::move(m0), coeff);
+      add(std::move(m1), std::move(coeff));
     }
+    return;
   }
   // Generic path: erase, strip v, expand — one term at a time,
   // with the next term's find slot prefetched while the current expands.
@@ -105,19 +101,9 @@ void BackwardRewriter::substitute_impl(VarId v, const TailT& tail) {
     spill_bytes_ -= it->first.spill_bytes();
     terms_.erase(it);
     const BitMono rest = mono.without(v);
-    if constexpr (kFlat) {
-      const auto& ms = tail.monos;
-      for (std::size_t t = 0; t + 1 < ms.size(); ++t)
-        add(bitmono_mul(rest, ms[t]), coeff);
-      if (!ms.empty()) add(bitmono_mul(rest, ms.back()), std::move(coeff));
-    } else {
-      for (const auto& [tmono, tcoeff] : tail.terms()) {
-        // Gate tails almost always carry coefficient 1 (AND/XOR/NOT
-        // terms); skip the field multiply on that fast path.
-        add(bitmono_mul(rest, tmono),
-            tcoeff.is_one() ? coeff : field_.mul(coeff, tcoeff));
-      }
-    }
+    for (std::size_t t = 0; t + 1 < ms.size(); ++t)
+      add(bitmono_mul(rest, ms[t]), coeff);
+    if (!ms.empty()) add(bitmono_mul(rest, ms.back()), std::move(coeff));
   }
 }
 
@@ -141,46 +127,6 @@ void BackwardRewriter::run_segment(const Netlist& netlist,
     timed_substitute(measured && (i & 63u) == 0,
                      [&] { substitute(gates[i], tail); });
   }
-}
-
-BitPoly gate_tail_bitpoly(const Gf2k& field, const Netlist::Gate& g) {
-  BitPoly one = BitPoly::constant(&field, field.one());
-  auto var = [&](NetId n) { return BitPoly::variable(&field, n); };
-  switch (g.type) {
-    case GateType::kConst0:
-      return BitPoly(&field);
-    case GateType::kConst1:
-      return one;
-    case GateType::kBuf:
-      return var(g.fanins[0]);
-    case GateType::kNot:
-      return var(g.fanins[0]) + one;
-    case GateType::kAnd:
-    case GateType::kNand: {
-      std::vector<VarId> ids(g.fanins.begin(), g.fanins.end());
-      std::sort(ids.begin(), ids.end());
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      BitPoly p(&field);
-      p.add_term(BitMono::from_sorted(ids.data(), ids.size()), field.one());
-      return g.type == GateType::kNand ? p + one : p;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      BitPoly p = one;
-      for (NetId f : g.fanins) p = p * (var(f) + one);
-      return g.type == GateType::kNor ? p : p + one;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      BitPoly p(&field);
-      for (NetId f : g.fanins) p += var(f);
-      return g.type == GateType::kXnor ? p + one : p;
-    }
-    case GateType::kInput:
-      break;
-  }
-  assert(false && "inputs have no tail");
-  return BitPoly(&field);
 }
 
 /// Flat tail builder: monomials pushed straight into a flat vector
@@ -259,10 +205,5 @@ void fill_gate_tail(const Netlist::Gate& g, FlatTail& tail) {
   }
   assert(false && "inputs have no tail");
 }
-
-// The tail-shaped member templates reached through the inline substitute()
-// overloads.
-template void BackwardRewriter::substitute_impl(VarId, const BitPoly&);
-template void BackwardRewriter::substitute_impl(VarId, const FlatTail&);
 
 }  // namespace gfa

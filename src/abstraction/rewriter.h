@@ -106,11 +106,10 @@ class BackwardRewriter {
   /// A control carrying a ResourceBudget additionally bounds the term map
   /// and occurrence index in bytes (site rewriter.terms); run_segment polls
   /// its deadline and cancel token once per gate.
-  BackwardRewriter(const Gf2k& field, std::vector<bool> substitutable,
-                   std::size_t max_terms = 0,
-                   const ExecControl* control = nullptr)
-      : field_(field),
-        substitutable_(std::move(substitutable)),
+  explicit BackwardRewriter(std::vector<bool> substitutable,
+                            std::size_t max_terms = 0,
+                            const ExecControl* control = nullptr)
+      : substitutable_(std::move(substitutable)),
         occurs_(substitutable_.size()),
         max_terms_(max_terms),
         control_(control),
@@ -183,15 +182,12 @@ class BackwardRewriter {
   }
 
   /// Replaces every occurrence of variable v by `tail` (a polynomial over
-  /// variables that will be substituted after v, or never). Accepts the flat
-  /// tail form (what the chain feeds it) or a full polynomial (tests,
-  /// baselines).
-  void substitute(VarId v, const BitPoly& tail) { substitute_impl(v, tail); }
-  void substitute(VarId v, const FlatTail& tail) { substitute_impl(v, tail); }
+  /// variables that will be substituted after v, or never).
+  void substitute(VarId v, const FlatTail& tail);
 
   /// Substitutes gates[from, to) — in RATO order — polling the control
-  /// before every gate. Any segment end is a valid checkpoint: the term map
-  /// then holds exactly the chain's polynomial after `to` substitutions.
+  /// before every gate. After it returns, the term map holds exactly the
+  /// chain's polynomial after `to` substitutions.
   void run_segment(const Netlist& netlist, const std::vector<NetId>& gates,
                    std::size_t from, std::size_t to);
 
@@ -209,9 +205,6 @@ class BackwardRewriter {
   std::size_t occurrences(VarId v) const { return occurs_[v].size(); }
 
  private:
-  template <class TailT>
-  void substitute_impl(VarId v, const TailT& tail);
-
   using OccList = InlineSmallVec<BitMono, 2>;
 
   /// Gate-lookahead prefetch for run_segment: a substitution typically
@@ -250,7 +243,6 @@ class BackwardRewriter {
   }
   static constexpr std::size_t kElemPoolCap = 64;
 
-  const Gf2k& field_;
   std::vector<bool> substitutable_;
   TermMap terms_;
   std::vector<OccList> occurs_;
@@ -266,22 +258,19 @@ class BackwardRewriter {
 
 /// The old name of the reduction chain, kept only because perfbench names
 /// it; the next benchmark change moves perfbench onto BackwardRewriter and
-/// deletes this. The shard count is ignored: there is one serial chain.
+/// deletes this. The field and the shard count are ignored: coefficients
+/// carry their own field, and there is one serial chain.
 class ShardedRewriter : public BackwardRewriter {
  public:
-  ShardedRewriter(const Gf2k& field, std::vector<bool> substitutable,
+  ShardedRewriter(const Gf2k& /*field*/, std::vector<bool> substitutable,
                   unsigned /*shards*/, std::size_t max_terms = 0,
                   const ExecControl* control = nullptr)
-      : BackwardRewriter(field, std::move(substitutable), max_terms, control) {}
+      : BackwardRewriter(std::move(substitutable), max_terms, control) {}
 
   void seed(BitMono mono, const Gf2k::Elem& coeff) {
     add(std::move(mono), coeff);
   }
   TermMap take_merged() { return take_terms(); }
 };
-
-/// The tail polynomial of a gate over net-id variables (multilinear form of
-/// gate_tail_poly).
-BitPoly gate_tail_bitpoly(const Gf2k& field, const Netlist::Gate& gate);
 
 }  // namespace gfa

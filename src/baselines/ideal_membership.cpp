@@ -1,6 +1,5 @@
 #include "baselines/ideal_membership.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -53,7 +52,7 @@ IdealMembershipResult verify_by_ideal_membership(
     substitutable[n] = circuit.gate(n).type != GateType::kInput;
 
   IdealMembershipResult res;
-  BackwardRewriter rw(field, std::move(substitutable), options.max_terms,
+  BackwardRewriter rw(std::move(substitutable), options.max_terms,
                       options.control);
 
   // Miter polynomial f : Z + G(A, B, …), bit-blasted on both sides.
@@ -71,19 +70,17 @@ IdealMembershipResult verify_by_ideal_membership(
     }
     rw.add(expanded);
   }
-  res.peak_terms = rw.num_terms();
 
   // Division chain: substitute every gate tail in RATO order.
   {
     const obs::TraceSpan chain_span("reduction_chain", "baseline");
-    for (NetId n : rato_net_order(circuit)) {
-      if (circuit.gate(n).type == GateType::kInput) continue;
-      throw_if_stopped(options.control);
-      rw.substitute(n, gate_tail_bitpoly(field, circuit.gate(n)));
-      ++res.substitutions;
-      res.peak_terms = std::max(res.peak_terms, rw.num_terms());
-    }
+    std::vector<NetId> gates;
+    for (NetId n : rato_net_order(circuit))
+      if (circuit.gate(n).type != GateType::kInput) gates.push_back(n);
+    rw.run_segment(circuit, gates, 0, gates.size());
+    res.substitutions = gates.size();
   }
+  res.peak_terms = rw.peak_terms();
   GFA_COUNT("reduction_steps", res.substitutions);
 
   res.residual_terms = rw.num_terms();

@@ -25,7 +25,7 @@ struct IdealMembershipOptions {
   /// Abort when the intermediate polynomial exceeds this many terms
   /// (0 = unlimited). Tripping raises RewriteBudgetExceeded.
   std::size_t max_terms = 0;
-  /// Deadline/cancellation, checkpointed per gate substitution in the
+  /// Deadline/cancellation, polled per gate substitution in the
   /// division chain; expiry unwinds via StatusError.
   const ExecControl* control = nullptr;
 };

@@ -89,13 +89,6 @@ struct RunOptions {
   /// set when isolate_attempts is.
   std::string worker_spec_path;
   std::string worker_impl_path;
-  /// Checkpoint/resume for the abstraction engine's reduction chain (see
-  /// src/worker/checkpoint.h). Empty directory = no checkpointing.
-  std::string checkpoint_dir;
-  /// Save every N substitution steps (0 = the extractor's default cadence).
-  std::uint64_t checkpoint_interval = 0;
-  /// Resume from a matching checkpoint in checkpoint_dir when one exists.
-  bool checkpoint_resume = false;
   /// Ask the abstraction engine to serialize the extracted canonical forms
   /// into VerifyResult::canonical_spec/_impl (see abstraction/canon_serial.h).
   /// The verification service sets this so a forked worker's extraction work
@@ -150,9 +143,6 @@ struct VerifyResult {
   std::map<std::string, double> stats;
   /// Per-attempt history; only the portfolio engine fills this in.
   std::vector<AttemptRecord> attempts;
-  /// True when the run continued from a reduction-chain checkpoint instead
-  /// of starting fresh (abstraction engine with RunOptions::checkpoint_*).
-  bool resumed = false;
   /// Serialized canonical forms (abstraction/canon_serial.h), filled only by
   /// the abstraction engine when RunOptions::export_canonical is set. Empty
   /// otherwise.

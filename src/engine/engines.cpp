@@ -26,7 +26,6 @@
 #include "engine/registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "worker/checkpoint.h"
 
 namespace gfa::engine {
 
@@ -120,19 +119,6 @@ class AbstractionEngine final : public EquivEngine {
     ExtractionOptions eo;
     eo.max_terms = options.max_terms;
     eo.control = &options.control;
-    ExtractionCheckpoint ck;
-    if (!options.checkpoint_dir.empty()) {
-      // Fail fast with the concrete path problem instead of letting every
-      // periodic save die with a cryptic open error.
-      if (Status s = worker::ensure_directory(options.checkpoint_dir);
-          !s.ok())
-        return s;
-      ck.directory = options.checkpoint_dir;
-      if (options.checkpoint_interval != 0)
-        ck.interval = options.checkpoint_interval;
-      ck.resume = options.checkpoint_resume;
-      eo.checkpoint = &ck;
-    }
     if (Status s = options.control.check(); !s.ok()) return s;
     if (std::optional<VerifyResult> refuted =
             refute_by_simulation(spec, impl, field))
@@ -157,7 +143,6 @@ class AbstractionEngine final : public EquivEngine {
       } catch (...) {
       }
     }
-    out.resumed = r->spec.stats.resumed || r->impl.stats.resumed;
     set_chain_stats(out, r->spec.stats, r->impl.stats, false);
     return out;
   }

@@ -183,7 +183,6 @@ class PortfolioEngine final : public EquivEngine {
         if (attempt_budget) leaked_bytes += attempt_budget->used_bytes();
       }
       ++ran;
-      if (run.resumed) out.resumed = true;
       out.attempts.push_back(attempt_record_of(run));
       if (definitive(run)) {
         GFA_COUNT("portfolio.attempts", ran);
@@ -276,8 +275,6 @@ class PortfolioEngine final : public EquivEngine {
             skipped_record(names[i], "race decided before this engine ran"));
       }
     }
-    for (const std::optional<EngineRun>& r : runs)
-      if (r && r->resumed) out.resumed = true;
     if (winner < engines.size()) {
       EngineRun& run = *runs[winner];
       out.verdict = run.verdict;

@@ -116,7 +116,6 @@ EngineRun run_engine(const EquivEngine& engine, const Netlist& spec,
     run.counterexample = std::move(r->counterexample);
     run.stats = std::move(r->stats);
     run.attempts = std::move(r->attempts);
-    run.resumed = r->resumed;
     run.canonical_spec = std::move(r->canonical_spec);
     run.canonical_impl = std::move(r->canonical_impl);
     if (run.verdict == Verdict::kNotEquivalent &&
@@ -154,7 +153,6 @@ void write_run_report(std::ostream& out, const std::string& tool, unsigned k,
     w.member("detail", run.detail);
     write_counterexample(w, run.counterexample);
     w.member("wall_ms", run.wall_ms);
-    if (run.resumed) w.member("resumed", true);
     if (!run.cache_outcome.empty()) w.member("cache", run.cache_outcome);
     write_stats(w, run.stats);
     if (!run.metrics.empty()) {

@@ -53,9 +53,6 @@ struct EngineRun {
   /// Portfolio attempt history (empty for ordinary engines) — or, for
   /// isolated runs under a retry policy, the per-fork attempt history.
   std::vector<AttemptRecord> attempts;
-  /// True when the run continued from a reduction-chain checkpoint; emitted
-  /// as "resumed": true in the JSON report.
-  bool resumed = false;
   /// Worker telemetry for isolated runs (see worker/harness.h): heartbeat
   /// frames received and the last phase/step reported. Zero/empty for
   /// in-process runs or when heartbeats were disabled.

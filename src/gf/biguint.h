@@ -61,8 +61,8 @@ class BigUint {
   std::string to_string() const;
 
   /// The canonical little-endian word storage (no trailing zero words; empty
-  /// for zero). Serialization layers (checkpoints, the canonical-form cache)
-  /// persist exponents through this.
+  /// for zero). The canonical-form serialization (canon_serial.h)
+  /// persists exponents through this.
   const std::vector<std::uint64_t>& words() const { return words_; }
 
   /// Rebuilds a value from little-endian words; trailing zero words are

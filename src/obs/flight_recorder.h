@@ -1,7 +1,7 @@
 #pragma once
 // Crash flight recorder: a preallocated, signal-safe ring of the last ~256
-// annotated events (phase transitions, checkpoint saves, budget high-water
-// marks), dumped from a SIGSEGV/SIGABRT handler so every exit-71 worker
+// annotated events (phase transitions, reduction-chain segment ends, budget
+// high-water marks), dumped from a SIGSEGV/SIGABRT handler so every exit-71 worker
 // report carries the event tail leading up to death.
 //
 // Everything is static and lock-free by construction:

@@ -6,8 +6,8 @@
 // Discipline mirrors metrics/tracing: progress_active() is one relaxed
 // atomic load, and instrumentation sites test it before building a Progress
 // record, so with no sink installed the cost is a single predictable branch.
-// Reports happen at phase boundaries and checkpoint-cadence segment ends
-// (thousands per run at most), never inner loops, so the mutex inside
+// Reports happen at phase boundaries and at the reduction chain's 1000-gate
+// segment ends (thousands per run at most), never inner loops, so the mutex inside
 // report_progress is uncontended noise.
 //
 // The sink callback may be invoked concurrently (extract_all_word_functions

@@ -11,7 +11,7 @@
 // serialization format version, so a repeated circuit skips straight to the
 // coefficient match.
 //
-// Integrity model — identical to checkpoints: every entry is framed as
+// Integrity model: every entry is framed as
 //
 //   magic    8 bytes  "GFA_CANF"
 //   u32      version  (kCanonEntryVersion)
@@ -30,7 +30,7 @@
 //
 // Bounded: entries are LRU-evicted past max_bytes. Optionally persistent:
 // with a directory configured, entries are mirrored to disk (atomic tmp +
-// rename, like checkpoints) and warm-loaded by open(), so a drained daemon's
+// rename) and warm-loaded by open(), so a drained daemon's
 // work survives restarts. All methods are thread-safe.
 
 #include <cstdint>

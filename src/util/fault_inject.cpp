@@ -22,7 +22,7 @@ enum class Action {
   kBadAlloc,         // throw std::bad_alloc, as a real failed allocation would
   kCancel,           // throw StatusError(kCancelled)
   kCaller,           // consumed via fault::consume(); the caller enacts the
-                     // failure (worker crash/hang, checkpoint corruption)
+                     // failure (worker crash/hang, cache corruption, ...)
 };
 
 struct SiteInfo {
@@ -47,7 +47,6 @@ constexpr SiteInfo kSites[] = {
     {"cancel:checkpoint", Action::kCancel},
     {"worker:crash", Action::kCaller},
     {"worker:hang", Action::kCaller},
-    {"checkpoint:corrupt", Action::kCaller},
     // Verification service (src/service/): the cache writer flips a stored
     // byte so the CRC guard must catch it on the next get; the accept loop
     // treats one accepted connection as failed to prove the daemon survives.

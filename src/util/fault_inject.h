@@ -49,8 +49,9 @@ void point(const char* site);
 /// Non-throwing variant for sites whose failure is *enacted by the caller*
 /// rather than thrown here: the worker supervisor ("worker:crash",
 /// "worker:hang" — the parent decides per attempt, so one-shot semantics
-/// survive retries across forked children) and the checkpoint writer
-/// ("checkpoint:corrupt"). Counts a hit against the armed site and returns
+/// survive retries across forked children), the cache writer
+/// ("cache:corrupt"), the accept loop ("service:accept") and the verdict
+/// cross-check ("certify:mismatch"). Counts a hit against the armed site and returns
 /// true exactly when this hit is the Nth — the caller then produces the
 /// failure. Always false when compiled out or when another site is armed.
 bool consume(const char* site);

@@ -77,9 +77,6 @@ std::string encode_request(const WorkerRequest& req) {
   for (const std::string& name : o.portfolio_engines) w.value(name);
   w.end_array();
   w.member("portfolio_race", o.portfolio_race);
-  w.member("checkpoint_dir", o.checkpoint_dir);
-  w.member("checkpoint_interval", o.checkpoint_interval);
-  w.member("checkpoint_resume", o.checkpoint_resume);
   w.member("simulate_crash", req.simulate_crash);
   w.member("simulate_hang", req.simulate_hang);
   w.member("heartbeat_interval_seconds", req.heartbeat_interval_seconds);
@@ -119,9 +116,6 @@ Result<WorkerRequest> decode_request(std::string_view json) {
       if (item.is_string()) o.portfolio_engines.push_back(item.as_string());
   }
   o.portfolio_race = doc->bool_or("portfolio_race", false);
-  o.checkpoint_dir = doc->string_or("checkpoint_dir", "");
-  o.checkpoint_interval = doc->u64_or("checkpoint_interval", 0);
-  o.checkpoint_resume = doc->bool_or("checkpoint_resume", false);
   req.simulate_crash = doc->bool_or("simulate_crash", false);
   req.simulate_hang = doc->bool_or("simulate_hang", false);
   req.heartbeat_interval_seconds =
@@ -150,7 +144,6 @@ std::string encode_response(const engine::EngineRun& run) {
   w.begin_array();
   for (const engine::AttemptRecord& a : run.attempts) write_attempt(w, a);
   w.end_array();
-  w.member("resumed", run.resumed);
   w.member("wall_ms", run.wall_ms);
   w.member("budget_limit_bytes",
            static_cast<std::uint64_t>(run.budget_limit_bytes));
@@ -184,7 +177,6 @@ Result<engine::EngineRun> decode_response(std::string_view json) {
       run.attempts.push_back(std::move(*a));
     }
   }
-  run.resumed = doc->bool_or("resumed", false);
   run.wall_ms = doc->number_or("wall_ms", 0.0);
   run.budget_limit_bytes =
       static_cast<std::size_t>(doc->u64_or("budget_limit_bytes", 0));

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "abstraction/rewriter.h"
@@ -90,10 +91,10 @@ TEST_F(BitPolyTest, ToStringDeterministic) {
 
 TEST_F(BitPolyTest, RewriterSubstitutesOnlyMatchingTerms) {
   // r = α·x·y + z ; substitute x := z + 1 → α·y·z + α·y + z.
-  BackwardRewriter rw(field_, {true, true, true});
+  BackwardRewriter rw({true, true, true});
   rw.add({x_, y_}, field_.alpha());
   rw.add({z_}, field_.one());
-  rw.substitute(x_, var(z_) + one());
+  rw.substitute(x_, FlatTail{{BitMono{z_}, BitMono{}}});
   EXPECT_EQ(rw.num_terms(), 3u);
   EXPECT_EQ(rw.terms().at({y_, z_}), field_.alpha());
   EXPECT_EQ(rw.terms().at({y_}), field_.alpha());
@@ -102,62 +103,111 @@ TEST_F(BitPolyTest, RewriterSubstitutesOnlyMatchingTerms) {
 
 TEST_F(BitPolyTest, RewriterMultilinearCancellation) {
   // α·x·y with x := y + 1 is (y+1)·y = y² + y = 0 under x² = x.
-  BackwardRewriter rw(field_, {true, true, true});
+  BackwardRewriter rw({true, true, true});
   rw.add({x_, y_}, field_.alpha());
-  rw.substitute(x_, var(y_) + one());
+  rw.substitute(x_, FlatTail{{BitMono{y_}, BitMono{}}});
   EXPECT_EQ(rw.num_terms(), 0u);
 }
 
 TEST_F(BitPolyTest, RewriterHandlesCancellationThenReuse) {
-  BackwardRewriter rw(field_, {true, true, true});
+  BackwardRewriter rw({true, true, true});
   rw.add({x_}, field_.one());
   rw.add({x_}, field_.one());  // cancels to zero
   EXPECT_EQ(rw.num_terms(), 0u);
   rw.add({x_}, field_.alpha());  // re-created after cancellation
-  rw.substitute(x_, var(y_));
+  rw.substitute(x_, FlatTail{{BitMono{y_}}});
   EXPECT_EQ(rw.terms().at({y_}), field_.alpha());
 }
 
 TEST_F(BitPolyTest, RewriterBudget) {
-  BackwardRewriter rw(field_, {true, true, true}, /*max_terms=*/1);
+  BackwardRewriter rw({true, true, true}, /*max_terms=*/1);
   rw.add({x_}, field_.one());
   EXPECT_THROW(rw.add({y_}, field_.one()), RewriteBudgetExceeded);
 }
 
 TEST_F(BitPolyTest, TailPolynomialsMatchGateSemantics) {
+  // Every tail the chain builds, read as the XOR of its monomials (each an
+  // AND of its bits, the empty one being 1), must equal the gate's output on
+  // every input point: 2- and 3-input gates, unsorted and duplicated
+  // fanins, and a 17-fanin gate past fill_gate_tail's stack buffer. Each
+  // monomial must also be well formed (strictly increasing ids), or it
+  // would never meet its equal in the term map.
   Netlist nl;
   const NetId a = nl.add_input("a");
   const NetId b = nl.add_input("b");
-  auto tail = [&](GateType t, std::vector<NetId> fi) {
-    return gate_tail_bitpoly(field_, Netlist::Gate{t, std::move(fi), "g"});
+  const NetId c = nl.add_input("c");
+  const auto gate_value = [](GateType t, const std::vector<NetId>& fanins,
+                             const std::vector<bool>& at) {
+    bool all = true, any = false, parity = false;
+    for (NetId f : fanins) {
+      all = all && at[f];
+      any = any || at[f];
+      parity = parity != at[f];
+    }
+    switch (t) {
+      case GateType::kConst0: return false;
+      case GateType::kConst1: return true;
+      case GateType::kBuf: return bool(at[fanins[0]]);
+      case GateType::kNot: return !at[fanins[0]];
+      case GateType::kAnd: return all;
+      case GateType::kNand: return !all;
+      case GateType::kOr: return any;
+      case GateType::kNor: return !any;
+      case GateType::kXor: return parity;
+      case GateType::kXnor: return !parity;
+      case GateType::kInput: break;
+    }
+    ADD_FAILURE() << "inputs have no tail";
+    return false;
   };
-  // Evaluate each tail on all four (a, b) points against gate semantics.
+  const auto tail_value = [](const FlatTail& tail,
+                              const std::vector<bool>& at) {
+    bool value = false;
+    for (const BitMono& m : tail.monos) {
+      bool product = true;
+      for (VarId v : m) product = product && at[v];
+      value = value != product;
+    }
+    return value;
+  };
+  const NetId abc[] = {a, b, c};
+  std::vector<NetId> wide;
+  for (int i = 0; i < 17; ++i) wide.push_back(abc[i % 3]);
+  const std::vector<std::vector<NetId>> fanin_sets = {
+      {a, b}, {b, a}, {a, b, c}, {c, a, b}, {a, a, b}, {a, a}, {b, a, b, a},
+      wide};
   struct Case {
     GateType type;
-    bool expect[4];  // index = a + 2b
+    std::vector<NetId> fanins;
   };
-  const Case cases[] = {
-      {GateType::kAnd, {false, false, false, true}},
-      {GateType::kOr, {false, true, true, true}},
-      {GateType::kXor, {false, true, true, false}},
-      {GateType::kNand, {true, true, true, false}},
-      {GateType::kNor, {true, false, false, false}},
-      {GateType::kXnor, {true, false, false, true}},
-  };
-  for (const Case& c : cases) {
-    const BitPoly p = tail(c.type, {a, b});
-    for (int i = 0; i < 4; ++i) {
-      std::vector<bool> assign(2);
-      assign[a] = i & 1;
-      assign[b] = i & 2;
-      EXPECT_EQ(!p.eval(assign).is_zero(), c.expect[i])
-          << gate_type_name(c.type) << " at " << i;
+  std::vector<Case> cases = {{GateType::kConst0, {}},
+                             {GateType::kConst1, {}},
+                             {GateType::kBuf, {a}},
+                             {GateType::kBuf, {c}},
+                             {GateType::kNot, {a}},
+                             {GateType::kNot, {b}}};
+  for (GateType t : {GateType::kAnd, GateType::kNand, GateType::kOr,
+                     GateType::kNor, GateType::kXor, GateType::kXnor})
+    for (const std::vector<NetId>& fanins : fanin_sets)
+      cases.push_back({t, fanins});
+  FlatTail tail;  // reused across gates, as run_segment reuses it
+  for (const Case& cs : cases) {
+    fill_gate_tail(Netlist::Gate{cs.type, cs.fanins, "g"}, tail);
+    for (const BitMono& m : tail.monos) {
+      const std::vector<VarId> ids(m.begin(), m.end());
+      EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end(),
+                                     std::greater_equal<VarId>()) ==
+                  ids.end())
+          << gate_type_name(cs.type) << " with " << cs.fanins.size()
+          << " fanins built a malformed monomial";
+    }
+    for (int i = 0; i < 8; ++i) {
+      const std::vector<bool> at = {bool(i & 1), bool(i & 2), bool(i & 4)};
+      EXPECT_EQ(tail_value(tail, at), gate_value(cs.type, cs.fanins, at))
+          << gate_type_name(cs.type) << " with " << cs.fanins.size()
+          << " fanins at a=" << at[a] << " b=" << at[b] << " c=" << at[c];
     }
   }
-  EXPECT_EQ(tail(GateType::kNot, {a}), var(VarId{a}) + one());
-  EXPECT_EQ(tail(GateType::kBuf, {a}), var(VarId{a}));
-  EXPECT_TRUE(tail(GateType::kConst0, {}).is_zero());
-  EXPECT_EQ(tail(GateType::kConst1, {}), one());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 // Tests for the service's canonical-form plumbing: the hex word codec and
 // WordFunction serialization (abstraction/canon_serial.h), the CRC-guarded
 // content-addressed cache (service/canon_cache.h) including the
-// "cache:corrupt" fault site and LRU eviction, directory hygiene
-// (worker::ensure_directory), and the checkpoint-path regression — a bad
-// --checkpoint directory must be a clear kInvalidArgument, not a cryptic
-// open error deep in the extractor.
+// "cache:corrupt" fault site and LRU eviction, the CRC and netlist content
+// hash the cache and the service quarantine key on (worker/checkpoint.h), and
+// directory hygiene (worker::ensure_directory).
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -18,8 +17,6 @@
 #include "abstraction/extractor.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
-#include "engine/registry.h"
-#include "engine/report.h"
 #include "service/canon_cache.h"
 #include "util/fault_inject.h"
 #include "worker/checkpoint.h"
@@ -121,7 +118,27 @@ TEST(CanonSerial, DecodeRejectsDamage) {
 }
 
 // ---------------------------------------------------------------------------
-// Directory hygiene (shared by checkpoints and the cache).
+// Entry integrity and circuit identity.
+
+using worker::crc32;
+using worker::netlist_content_hash;
+
+TEST(Crc32, MatchesTheReferenceVector) {
+  // The classic IEEE 802.3 check value for "123456789".
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(ContentHash, SeparatesCircuitsAndIsStable) {
+  const Gf2k field = Gf2k::make(8);
+  const Netlist mastro = make_mastrovito_multiplier(field);
+  const Netlist mont = make_montgomery_multiplier_flat(field);
+  EXPECT_EQ(netlist_content_hash(mastro), netlist_content_hash(mastro));
+  EXPECT_NE(netlist_content_hash(mastro), netlist_content_hash(mont));
+}
+
+// ---------------------------------------------------------------------------
+// Directory hygiene (the cache's and the daemon's store directories).
 
 TEST(EnsureDirectory, CreatesAndValidates) {
   const std::string dir = temp_dir();
@@ -147,23 +164,6 @@ TEST(EnsureDirectory, FileInTheWayIsInvalidArgument) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.message().find("not a directory"), std::string::npos)
       << s.to_string();
-}
-
-/// The regression the satellite asks for: the abstraction engine must answer
-/// a bad checkpoint directory with kInvalidArgument naming the path, before
-/// any extraction work happens — not a cryptic open failure afterwards.
-TEST(EnsureDirectory, EngineRejectsBadCheckpointDirUpFront) {
-  const Gf2k field = Gf2k::make(4);
-  const Netlist spec = make_mastrovito_multiplier(field);
-  const auto engine = engine::EngineRegistry::global().require("abstraction");
-  ASSERT_TRUE(engine.ok());
-  engine::RunOptions options;
-  options.checkpoint_dir = temp_dir() + "/missing/parent";
-  const engine::EngineRun run =
-      engine::run_engine(**engine, spec, spec, field, options);
-  EXPECT_EQ(run.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(run.status.message().find("parent"), std::string::npos)
-      << run.status.to_string();
 }
 
 // ---------------------------------------------------------------------------

@@ -374,7 +374,6 @@ EngineRun golden_refuted_run() {
   run.metrics["reduction_steps"] = 77;
   run.budget_limit_bytes = std::size_t{1} << 20;
   run.budget_peak_bytes = 1234;
-  run.resumed = true;
   run.heartbeats = 3;
   run.last_phase = "reduction_chain";
   run.last_step = 42;
@@ -440,7 +439,6 @@ TEST(RunReportGolden, EverySectionKeepsItsBytes) {
         "replayed": true
       },
       "wall_ms": 12.5,
-      "resumed": true,
       "cache": "stored",
       "stats": {
         "attempts_run": 1,

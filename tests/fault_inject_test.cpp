@@ -27,15 +27,17 @@ struct Disarmer {
 TEST(FaultInject, RegistryListsEveryDocumentedSite) {
   if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   const std::vector<std::string_view>& sites = fault::registered_sites();
-  for (const char* site :
-       {"budget:mpoly.terms", "budget:pair.queue", "budget:bdd.nodes",
-        "budget:sat.clauses", "budget:rewriter.terms", "oom:rewriter.add",
-        "oom:bdd.make", "oom:sat.learn", "cancel:checkpoint", "worker:crash",
-        "worker:hang", "checkpoint:corrupt"}) {
-    EXPECT_NE(std::find(sites.begin(), sites.end(), std::string_view(site)),
-              sites.end())
+  const std::vector<std::string_view> documented = {
+      "budget:mpoly.terms", "budget:pair.queue",    "budget:bdd.nodes",
+      "budget:sat.clauses", "budget:rewriter.terms", "oom:rewriter.add",
+      "oom:bdd.make",       "oom:sat.learn",         "cancel:checkpoint",
+      "worker:crash",       "worker:hang",           "cache:corrupt",
+      "service:accept",     "certify:mismatch"};
+  for (std::string_view site : documented)
+    EXPECT_NE(std::find(sites.begin(), sites.end(), site), sites.end())
         << site;
-  }
+  // ...and nothing else: a site the docs do not list is not armable.
+  EXPECT_EQ(sites.size(), documented.size());
 }
 
 TEST(FaultInject, ArmRejectsUnknownSitesAndZeroCounts) {
@@ -85,7 +87,7 @@ TEST(FaultInject, ConsumeFiresOnceOnTheNthHitWithoutThrowing) {
 TEST(FaultInject, ConsumeIsInertWhenNothingIsArmed) {
   if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   EXPECT_FALSE(fault::consume("worker:crash"));
-  EXPECT_FALSE(fault::consume("checkpoint:corrupt"));
+  EXPECT_FALSE(fault::consume("cache:corrupt"));
 }
 
 TEST(FaultInject, ArmSpecParsesSiteColonCount) {

@@ -100,7 +100,7 @@ TEST(PackedMonoTest, MulIsSetUnionAcrossForms) {
 
 TEST(PackedMonoTest, OrderingMatchesVectorLexicographic) {
   // operator< must induce the same order std::vector<VarId> does, so sorted
-  // renderings and checkpoint serializations agree across representations.
+  // renderings and serializations agree across representations.
   const std::vector<std::vector<VarId>> sets = {
       {},        {0},         {0, 1},      {0, 5},
       {1},       {1, 2, 3},   {1, 2, 4},   ascending(7),

@@ -1,24 +1,19 @@
 // Determinism suite for the reduction chain (rewriter.h): the extracted
 // canonical polynomial and the chain's statistics must be bit-identical at
-// every pool width — including when a mid-chain fault unwinds a run, and
-// when a checkpoint saved at one thread count is resumed at another.
+// every pool width — including when a mid-chain fault unwinds a run.
 // "Identical" here is exact: the same term set with the same GF(2^k)
 // coefficients, compared both structurally and via to_string.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "abstraction/extractor.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
-#include "obs/progress.h"
 #include "util/fault_inject.h"
 #include "util/parallel_for.h"
-#include "worker/checkpoint.h"
 
 namespace gfa {
 namespace {
@@ -32,13 +27,6 @@ struct WidthGuard {
   unsigned before = parallel_thread_count();
   ~WidthGuard() { set_parallel_thread_count(before); }
 };
-
-std::string make_temp_dir() {
-  std::string tmpl = ::testing::TempDir() + "gfa_det_XXXXXX";
-  const char* dir = mkdtemp(tmpl.data());
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
 
 WordFunction extract_at(unsigned threads, const Netlist& nl, const Gf2k& field,
                         const ExtractionOptions& options = {}) {
@@ -105,53 +93,6 @@ TEST(ReductionDeterminism, CleanRerunAfterMidChainFaultIsIdentical) {
     EXPECT_TRUE(rerun.g == ref.g) << "threads=" << threads;
     EXPECT_EQ(rerun.g.to_string(rerun.pool), ref.g.to_string(ref.pool));
   }
-}
-
-TEST(ReductionDeterminism, ResumeOnADifferentThreadCountMatches) {
-  WidthGuard guard;
-  const Gf2k field = Gf2k::make(64);
-  const Netlist nl = make_mastrovito_multiplier(field);
-  const WordFunction ref = extract_at(1, nl, field);
-  const std::string ref_poly = ref.g.to_string(ref.pool);
-
-  const std::string dir = make_temp_dir();
-  ExtractionCheckpoint ck;
-  ck.directory = dir;
-  ck.interval = 100;
-  ExecControl control;
-  ExtractionOptions options;
-  options.control = &control;
-  options.checkpoint = &ck;
-
-  // Save under a 2-thread run, cut at a chain step: once a progress report
-  // passes step 1000, cancel. Steps count RATO gates, so the cut lands after
-  // the save at step 1100 at every pool width, far from the chain's end.
-  set_parallel_thread_count(2);
-  obs::set_progress_sink([&control](const obs::Progress& p) {
-    if (std::string_view(p.phase) == "reduction_chain" && p.step > 1000)
-      control.cancel.request_cancel();
-  });
-  const Result<WordFunction> interrupted =
-      try_extract_word_function(nl, field, options);
-  obs::set_progress_sink(nullptr);
-  ASSERT_FALSE(interrupted.ok());
-  EXPECT_EQ(interrupted.status().code(), StatusCode::kCancelled);
-  const std::string path =
-      worker::checkpoint_path(dir, worker::netlist_content_hash(nl), "Z");
-  ASSERT_TRUE(worker::load_checkpoint(path).ok())
-      << "no checkpoint survived the interruption";
-
-  // ...and resume under an 8-thread run: the polynomial must not change.
-  control.cancel = CancelToken();  // a fresh, unfired token for the resume
-  set_parallel_thread_count(8);
-  ck.resume = true;
-  const Result<WordFunction> resumed =
-      try_extract_word_function(nl, field, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
-  EXPECT_TRUE(resumed->stats.resumed);
-  EXPECT_LT(resumed->stats.substitutions, ref.stats.substitutions);
-  EXPECT_TRUE(resumed->g == ref.g);
-  EXPECT_EQ(resumed->g.to_string(resumed->pool), ref_poly);
 }
 
 }  // namespace

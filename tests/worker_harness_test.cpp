@@ -83,9 +83,6 @@ TEST(WorkerProtocol, RequestCodecRoundTrips) {
   req.options.attempt_timeout_seconds = 1.25;
   req.options.portfolio_engines = {"abstraction", "sat"};
   req.options.portfolio_race = true;
-  req.options.checkpoint_dir = "/tmp/ck";
-  req.options.checkpoint_interval = 500;
-  req.options.checkpoint_resume = true;
   req.options.export_canonical = true;
   req.options.certify = true;
   req.simulate_crash = true;
@@ -110,9 +107,6 @@ TEST(WorkerProtocol, RequestCodecRoundTrips) {
   EXPECT_EQ(o.attempt_timeout_seconds, req.options.attempt_timeout_seconds);
   EXPECT_EQ(o.portfolio_engines, req.options.portfolio_engines);
   EXPECT_TRUE(o.portfolio_race);
-  EXPECT_EQ(o.checkpoint_dir, req.options.checkpoint_dir);
-  EXPECT_EQ(o.checkpoint_interval, req.options.checkpoint_interval);
-  EXPECT_TRUE(o.checkpoint_resume);
   EXPECT_TRUE(o.export_canonical);
   EXPECT_TRUE(o.certify);
   EXPECT_TRUE(back->simulate_crash);
@@ -153,7 +147,6 @@ TEST(WorkerProtocol, ResponseCodecRoundTrips) {
   run.counterexample.replayed = true;
   run.stats["substitutions"] = 123.0;
   run.stats["peak_terms"] = 456.0;
-  run.resumed = true;
   run.wall_ms = 78.5;
   run.budget_limit_bytes = 1u << 20;
   run.budget_peak_bytes = 1234;
@@ -188,7 +181,6 @@ TEST(WorkerProtocol, ResponseCodecRoundTrips) {
   EXPECT_EQ(back->counterexample.actual, "1");
   EXPECT_TRUE(back->counterexample.replayed);
   EXPECT_EQ(back->stats, run.stats);
-  EXPECT_TRUE(back->resumed);
   EXPECT_EQ(back->wall_ms, run.wall_ms);
   EXPECT_EQ(back->budget_limit_bytes, run.budget_limit_bytes);
   EXPECT_EQ(back->budget_peak_bytes, run.budget_peak_bytes);

@@ -12,8 +12,6 @@
 //                   [--retry-seed=<n>] [--retry-budget-escalation=<f>]
 //                   [--heartbeat-interval=<s>] [--stall-timeout=<s>]
 //                   [--isolate-attempts]
-//                   [--checkpoint=<dir>] [--checkpoint-interval=<steps>]
-//                   [--resume]
 //   gfa_tool compare <spec> <impl> <k> [--engines=<a,b,…>] [--timeout=<s>]
 //                    [--report=<file>]
 //   gfa_tool engines                       list registered engines
@@ -203,12 +201,6 @@ Result<Flags> parse_flags(int argc, char** argv) {
       Result<double> d = parse_double(value, 0.0, 1e9);
       if (!d.ok()) return d.status();
       flags.stall_timeout_seconds = *d;
-    } else if (name == "--checkpoint") {
-      flags.options.checkpoint_dir = value;
-    } else if (name == "--checkpoint-interval") {
-      Result<std::uint64_t> n = parse_u64(value, 1);
-      if (!n.ok()) return n.status();
-      flags.options.checkpoint_interval = *n;
     } else if (name == "--threads") {
       // Same domain as GFA_THREADS; 0 and garbage are rejected here as
       // kInvalidArgument (exit 66, like a bad engine name) so the pool
@@ -248,10 +240,6 @@ Result<Flags> parse_flags(int argc, char** argv) {
     }
     if (arg == "--isolate-attempts") {
       flags.options.isolate_attempts = true;
-      continue;
-    }
-    if (arg == "--resume") {
-      flags.options.checkpoint_resume = true;
       continue;
     }
     const std::size_t eq = arg.find('=');
@@ -400,9 +388,6 @@ Status check_verify_flags(const Flags& flags) {
   if (flags.retries_set && !flags.isolate)
     return Status::invalid_argument(
         "--retries only applies to isolated runs; add --isolate");
-  if (flags.options.checkpoint_resume && flags.options.checkpoint_dir.empty())
-    return Status::invalid_argument(
-        "--resume needs --checkpoint=<dir> to know where checkpoints live");
   if (flags.isolate && flags.options.isolate_attempts)
     return Status::invalid_argument(
         "--isolate already forks the whole run; drop --isolate-attempts");
@@ -629,8 +614,7 @@ void usage() {
       "          [--isolate] [--retries=<n>] [--retry-backoff=<dur>]"
       " [--retry-seed=<n>] [--retry-budget-escalation=<f>]\n"
       "          [--heartbeat-interval=<s>] [--stall-timeout=<s>]\n"
-      "          [--isolate-attempts] [--checkpoint=<dir>]"
-      " [--checkpoint-interval=<steps>] [--resume]\n"
+      "          [--isolate-attempts]\n"
       "  gfa_tool compare <spec> <impl> <k> [--engines=<a,b,...>]"
       " [--timeout=<s>] [--report=<file>]\n"
       "  gfa_tool engines\n"
