@@ -77,9 +77,9 @@ EquivalenceResult check_equivalence(const Netlist& spec, const Netlist& impl,
                                     const ExtractionOptions& options) {
   // Build the O(k²) Frobenius basis change once for both circuits, then
   // abstract spec and impl one after the other. Each extraction runs its lift
-  // rows at full pool width; running the two concurrently instead would
-  // serialize those — parallel_invoke marks both callers as pool work, so
-  // every nested loop degrades — and caps the speedup at 2.
+  // rows at full pool width; running the two as two pool tasks instead
+  // would serialize those — a loop nested inside pool work degrades to
+  // serial — and cap the speedup at 2.
   ExtractionOptions local = options;
   std::optional<WordLift> owned_lift;
   if (local.shared_lift == nullptr) {

@@ -10,6 +10,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "circuit/parser.h"
+
 namespace gfa {
 
 namespace {
@@ -642,6 +644,11 @@ Result<Netlist> try_read_verilog_file(const std::string& path) {
   } catch (...) {
     return status_from_current_exception();
   }
+}
+
+Result<Netlist> try_read_circuit_file(const std::string& path) {
+  return path.ends_with(".v") ? try_read_verilog_file(path)
+                              : try_read_netlist_file(path);
 }
 
 }  // namespace gfa

@@ -52,4 +52,10 @@ void write_verilog_file(const Netlist& netlist, const std::string& path);
 Result<Netlist> try_parse_verilog(std::string_view text);
 Result<Netlist> try_read_verilog_file(const std::string& path);
 
+/// Reads a circuit file in either format, picked by suffix: `.v` is the
+/// Verilog subset above, anything else the native netlist format
+/// (circuit/parser.h). Errors as try_read_verilog_file /
+/// try_read_netlist_file.
+Result<Netlist> try_read_circuit_file(const std::string& path);
+
 }  // namespace gfa

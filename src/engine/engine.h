@@ -77,18 +77,6 @@ struct RunOptions {
   /// failure/unknown; true = race them via parallel_for, first definitive
   /// verdict (lowest index on ties) wins and cancels the rest.
   bool portfolio_race = false;
-  /// Portfolio: run every attempt in a forked worker process (see
-  /// src/worker/harness.h), so one engine segfaulting or tripping an rlimit
-  /// becomes a fall-through instead of taking the portfolio down. Requires
-  /// the circuits to be reachable as files (worker_spec_path/worker_impl_path
-  /// below); incompatible with portfolio_race (forking from pool threads is
-  /// rejected as kInvalidArgument).
-  bool isolate_attempts = false;
-  /// Circuit files backing spec/impl for isolate_attempts: the worker child
-  /// re-reads them rather than inheriting in-memory netlists. Both must be
-  /// set when isolate_attempts is.
-  std::string worker_spec_path;
-  std::string worker_impl_path;
   /// Ask the abstraction engine to serialize the extracted canonical forms
   /// into VerifyResult::canonical_spec/_impl (see abstraction/canon_serial.h).
   /// The verification service sets this so a forked worker's extraction work
@@ -118,9 +106,10 @@ struct AttemptRecord {
   /// True when the attempt never ran (an earlier attempt was definitive, or
   /// the overall control fired first); `detail` says why.
   bool skipped = false;
-  /// Worker telemetry, filled for isolated attempts whose child ran with
-  /// heartbeats on: frames received, and the last phase/step the worker
-  /// reported before finishing (or dying — the crash-forensics triple).
+  /// Worker telemetry, filled for the forks of an isolated run under a retry
+  /// policy whose child ran with heartbeats on: frames received, and the
+  /// last phase/step the worker reported before finishing (or dying — the
+  /// crash-forensics triple).
   std::uint64_t heartbeats = 0;
   std::string last_phase;
   std::uint64_t last_step = 0;

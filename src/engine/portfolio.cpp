@@ -20,9 +20,11 @@
 //  - Racing mode runs the attempts concurrently via parallel_for; the first
 //    definitive verdict by list position wins and cancels the rest.
 //  - The deciding attempt's verdict, detail and counterexample become the
-//    portfolio's. Attempts never certify (in-process or isolated): the
-//    portfolio's own run_engine() certifies its final verdict once, so a
-//    certification failure is the run's status, never a fall-through.
+//    portfolio's. Attempts never certify: the portfolio's own run_engine()
+//    certifies its final verdict once, so a certification failure is the
+//    run's status, never a fall-through.
+//  - Attempts always run in-process. To contain a crashing engine, fork the
+//    whole portfolio run (worker/harness.h, `gfa_tool --isolate`).
 
 #include <algorithm>
 #include <atomic>
@@ -38,7 +40,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "util/parallel_for.h"
-#include "worker/harness.h"
 
 namespace gfa::engine {
 
@@ -100,16 +101,6 @@ class PortfolioEngine final : public EquivEngine {
             "the portfolio cannot contain itself");
       engines.push_back(*e);
     }
-    if (options.isolate_attempts) {
-      if (options.portfolio_race)
-        return Status::invalid_argument(
-            "--race cannot be combined with isolated attempts (forking from "
-            "pool threads is not supported); drop one of the two");
-      if (options.worker_spec_path.empty() || options.worker_impl_path.empty())
-        return Status::invalid_argument(
-            "isolated portfolio attempts need the circuit file paths "
-            "(worker_spec_path / worker_impl_path)");
-    }
     GFA_COUNT("portfolio.runs", 1);
     return options.portfolio_race
                ? race(engines, names, spec, impl, field, options)
@@ -117,11 +108,10 @@ class PortfolioEngine final : public EquivEngine {
   }
 
  private:
-  /// Per-attempt options, in-process and isolated alike: the parent's cancel
-  /// token and deadline (tightened by attempt_timeout_seconds), a budget
-  /// slot run_engine() will fill from memory_budget_bytes, no portfolio
-  /// recursion, and no certification — the portfolio's own run_engine()
-  /// certifies the final verdict once.
+  /// Per-attempt options: the parent's cancel token and deadline (tightened
+  /// by attempt_timeout_seconds), a budget slot run_engine() will fill from
+  /// memory_budget_bytes, no portfolio recursion, and no certification — the
+  /// portfolio's own run_engine() certifies the final verdict once.
   static RunOptions attempt_options(const RunOptions& options) {
     RunOptions ao = options;
     ao.portfolio_engines.clear();
@@ -153,35 +143,18 @@ class PortfolioEngine final : public EquivEngine {
                                        std::to_string(ran) + " attempt(s) [" +
                                        summarize(out.attempts) + "]");
       }
-      EngineRun run;
-      if (options.isolate_attempts) {
-        // A forked worker owns its whole address space; a crash (or rlimit
-        // trip) in one engine is an attempt-local kWorkerCrashed that falls
-        // through to the next, exactly like a mem-out does in-process.
-        worker::WorkerRequest req;
-        req.spec_path = options.worker_spec_path;
-        req.impl_path = options.worker_impl_path;
-        req.k = field.k();
-        req.engine = names[i];
-        req.options = attempt_options(options);
-        const Deadline& deadline = req.options.control.deadline;
-        if (!deadline.is_infinite())
-          req.timeout_seconds = std::max(0.001, deadline.remaining_seconds());
-        run = worker::run_in_worker(req);
-      } else {
-        // The portfolio owns each attempt's budget (rather than letting
-        // run_engine wrap one) so it can verify the attempt released every
-        // lease — a leak here would silently starve later attempts if the
-        // budget were ever shared.
-        RunOptions ao = attempt_options(options);
-        std::optional<ResourceBudget> attempt_budget;
-        if (options.memory_budget_bytes != 0) {
-          attempt_budget.emplace(options.memory_budget_bytes);
-          ao.control.budget = &*attempt_budget;
-        }
-        run = run_engine(*engines[i], spec, impl, field, ao);
-        if (attempt_budget) leaked_bytes += attempt_budget->used_bytes();
+      // The portfolio owns each attempt's budget (rather than letting
+      // run_engine wrap one) so it can verify the attempt released every
+      // lease — a leak here would silently starve later attempts if the
+      // budget were ever shared.
+      RunOptions ao = attempt_options(options);
+      std::optional<ResourceBudget> attempt_budget;
+      if (options.memory_budget_bytes != 0) {
+        attempt_budget.emplace(options.memory_budget_bytes);
+        ao.control.budget = &*attempt_budget;
       }
+      EngineRun run = run_engine(*engines[i], spec, impl, field, ao);
+      if (attempt_budget) leaked_bytes += attempt_budget->used_bytes();
       ++ran;
       out.attempts.push_back(attempt_record_of(run));
       if (definitive(run)) {

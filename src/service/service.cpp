@@ -15,7 +15,6 @@
 #include "abstraction/canon_serial.h"
 #include "abstraction/equivalence.h"
 #include "certify/certify.h"
-#include "circuit/parser.h"
 #include "circuit/verilog.h"
 #include "engine/registry.h"
 #include "engine/report.h"
@@ -37,16 +36,6 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-bool has_suffix(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-Result<Netlist> load_circuit(const std::string& path) {
-  return has_suffix(path, ".v") ? try_read_verilog_file(path)
-                                : try_read_netlist_file(path);
 }
 
 /// Inherit-then-cap: a job not asking (0) gets the server default; a job
@@ -202,8 +191,7 @@ Status Server::start() {
 
   // Worker pool threads fork; pre-warm every lazily-constructed singleton
   // now, on the single startup thread, so no fork can inherit a mid-
-  // construction lock (the same reason the portfolio engine refuses
-  // portfolio_race together with isolate_attempts).
+  // construction lock.
   ::signal(SIGPIPE, SIG_IGN);
   (void)obs::Metrics::instance();
   (void)engine::EngineRegistry::global();
@@ -495,12 +483,12 @@ JobResponse Server::run_verify(const JobRequest& req) {
   // parse this costs is a small fraction of any engine's run, and a parse
   // failure is the job's real outcome — the forked worker would hit the
   // same wall — so report it directly, without forking.
-  const Result<Netlist> spec = load_circuit(req.spec_path);
+  const Result<Netlist> spec = try_read_circuit_file(req.spec_path);
   if (!spec.ok()) {
     resp.status = spec.status();
     return resp;
   }
-  const Result<Netlist> impl = load_circuit(req.impl_path);
+  const Result<Netlist> impl = try_read_circuit_file(req.impl_path);
   if (!impl.ok()) {
     resp.status = impl.status();
     return resp;

@@ -274,10 +274,4 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
   tls_in_parallel = was;
 }
 
-void parallel_invoke(const std::function<void()>& a,
-                     const std::function<void()>& b,
-                     const ExecControl* control) {
-  parallel_for(2, [&](std::size_t i) { i == 0 ? a() : b(); }, control);
-}
-
 }  // namespace gfa

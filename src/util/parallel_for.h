@@ -1,7 +1,7 @@
 #pragma once
 // Minimal shared thread pool for the embarrassingly parallel loops of the
 // abstraction pipeline (the Cᵀ·Q·C transforms of the word lift,
-// per-output-word extraction, concurrent spec/impl abstraction).
+// per-output-word extraction, hierarchical blocks) and the portfolio race.
 //
 // Semantics:
 //   * parallel_for(n, fn) runs fn(i) for every i in [0, n), blocking until
@@ -50,10 +50,5 @@ unsigned parallel_available_width();
 /// Runs fn(i) for i in [0, n); see the header comment for guarantees.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   const ExecControl* control = nullptr);
-
-/// Runs a and b, potentially concurrently; rethrows the first exception.
-void parallel_invoke(const std::function<void()>& a,
-                     const std::function<void()>& b,
-                     const ExecControl* control = nullptr);
 
 }  // namespace gfa

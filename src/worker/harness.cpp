@@ -16,7 +16,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "circuit/parser.h"
 #include "circuit/verilog.h"
 #include "engine/registry.h"
 #include "obs/flight_recorder.h"
@@ -46,29 +45,27 @@ void ignore_sigpipe_once() {
   std::call_once(flag, [] { std::signal(SIGPIPE, SIG_IGN); });
 }
 
-bool has_suffix(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-Result<Netlist> load_circuit(const std::string& path) {
-  return has_suffix(path, ".v") ? try_read_verilog_file(path)
-                                : try_read_netlist_file(path);
-}
+/// RLIMIT_CPU slack added on top of the wall-clock timeout, so the
+/// cooperative deadline (which unwinds cleanly) fires first and SIGXCPU is
+/// the backstop for a compute loop that stopped polling.
+constexpr unsigned kCpuRlimitSlackSeconds = 5;
+/// RLIMIT_AS = memory_budget_bytes * this factor + a fixed 256 MiB base,
+/// leaving headroom for code, stacks, and allocator slack above the counted
+/// budget. The cooperative ResourceBudget still trips first in the common
+/// case; the rlimit catches what it cannot see. Skipped entirely under
+/// AddressSanitizer (shadow memory needs the full address space).
+constexpr double kAddressSpaceHeadroom = 8.0;
 
 /// Hard caps applied inside the child, between the handshake and the run.
 /// These are the last line of defense behind the cooperative budget and
 /// deadline: a loop that stops polling still cannot outlive RLIMIT_CPU, and
 /// an allocation path the byte accounting cannot see still hits RLIMIT_AS.
-void apply_child_rlimits(const WorkerRequest& req,
-                         const WorkerConfig& config) {
+void apply_child_rlimits(const WorkerRequest& req) {
 #if !defined(GFA_ASAN)
   if (req.options.memory_budget_bytes != 0) {
-    // Headroom over the counted budget for code, stacks, and allocator
-    // slack; the cooperative ResourceBudget is expected to trip first.
     const double want =
         static_cast<double>(req.options.memory_budget_bytes) *
-            config.address_space_headroom +
+            kAddressSpaceHeadroom +
         256.0 * 1024 * 1024;
     struct rlimit as_limit;
     as_limit.rlim_cur = static_cast<rlim_t>(
@@ -76,13 +73,11 @@ void apply_child_rlimits(const WorkerRequest& req,
     as_limit.rlim_max = as_limit.rlim_cur;
     (void)setrlimit(RLIMIT_AS, &as_limit);  // best effort
   }
-#else
-  (void)config;
 #endif
   if (req.timeout_seconds > 0) {
     struct rlimit cpu_limit;
     cpu_limit.rlim_cur = static_cast<rlim_t>(req.timeout_seconds) + 1 +
-                         config.cpu_rlimit_slack_seconds;
+                         kCpuRlimitSlackSeconds;
     cpu_limit.rlim_max = cpu_limit.rlim_cur + 5;
     (void)setrlimit(RLIMIT_CPU, &cpu_limit);
   }
@@ -91,8 +86,8 @@ void apply_child_rlimits(const WorkerRequest& req,
 /// The child's engine run. Failures before the engine starts (unreadable
 /// circuits, a bad k or engine name) come back as the run's status.
 engine::EngineRun execute_request(WorkerRequest& req) {
-  const Result<Netlist> spec = load_circuit(req.spec_path);
-  const Result<Netlist> impl = load_circuit(req.impl_path);
+  const Result<Netlist> spec = try_read_circuit_file(req.spec_path);
+  const Result<Netlist> impl = try_read_circuit_file(req.impl_path);
   const Result<Gf2k> field = Gf2k::try_make(req.k);
   const Result<const engine::EquivEngine*> eng =
       engine::EngineRegistry::global().require(req.engine);
@@ -311,9 +306,11 @@ Status classify_termination(int wstatus, const Status& read_status) {
                                 std::to_string(wstatus));
 }
 
-}  // namespace
-
-void worker_child_main(int in_fd, int out_fd, const WorkerConfig& config) {
+/// The child side: reads one request frame from in_fd, runs it, writes one
+/// response frame to out_fd. Never returns — _exit(0) on a delivered
+/// response, _exit(3) on a protocol error, _exit(4) on an exception that
+/// escaped the engine boundary.
+[[noreturn]] void worker_child_main(int in_fd, int out_fd) {
   // Shed the parent's signal dispositions first: a service parent routes
   // SIGTERM/SIGINT into a self-pipe drain handler, and that handler — run in
   // a forked child that shares the pipe — would both neuter the supervisor's
@@ -350,7 +347,7 @@ void worker_child_main(int in_fd, int out_fd, const WorkerConfig& config) {
     std::signal(SIGTERM, SIG_IGN);
     for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
   }
-  apply_child_rlimits(req, config);
+  apply_child_rlimits(req);
   try {
     ChildTelemetry telemetry(out_fd, req);
     engine::EngineRun run = execute_request(req);
@@ -368,6 +365,8 @@ void worker_child_main(int in_fd, int out_fd, const WorkerConfig& config) {
   }
   _exit(0);
 }
+
+}  // namespace
 
 engine::EngineRun run_in_worker(const WorkerRequest& request,
                                 const WorkerConfig& config) {
@@ -419,7 +418,7 @@ engine::EngineRun run_in_worker(const WorkerRequest& request,
   if (pid == 0) {
     close(to_child[1]);
     close(from_child[0]);
-    worker_child_main(to_child[0], from_child[1], config);  // never returns
+    worker_child_main(to_child[0], from_child[1]);  // never returns
   }
   close(to_child[0]);
   close(from_child[1]);

@@ -44,20 +44,12 @@
 
 namespace gfa::worker {
 
+/// Supervisor settings a caller may override; the child's rlimit headroom is
+/// fixed (see apply_child_rlimits in harness.cpp).
 struct WorkerConfig {
   /// Grace between SIGTERM and SIGKILL when the parent ends an overrunning
   /// or abandoned worker.
   double kill_grace_seconds = 2.0;
-  /// RLIMIT_CPU slack added on top of the wall-clock timeout, so the
-  /// cooperative deadline (which unwinds cleanly) fires first and SIGXCPU is
-  /// the backstop for a compute loop that stopped polling.
-  unsigned cpu_rlimit_slack_seconds = 5;
-  /// RLIMIT_AS = memory_budget_bytes * this factor + a fixed base, leaving
-  /// headroom for code, stacks, and allocator slack above the counted
-  /// budget. The cooperative ResourceBudget still trips first in the common
-  /// case; the rlimit catches what it cannot see. Skipped entirely under
-  /// AddressSanitizer (shadow memory needs the full address space).
-  double address_space_headroom = 8.0;
   /// Test hook, called in the parent right after fork() with the child pid —
   /// crash-recovery tests use it to SIGKILL the worker mid-run.
   std::function<void(pid_t)> on_spawn;
@@ -81,12 +73,5 @@ engine::EngineRun run_in_worker(const WorkerRequest& request,
 engine::EngineRun run_isolated_with_retry(WorkerRequest request,
                                           const RetryPolicy& policy,
                                           const WorkerConfig& config = {});
-
-/// The child side, exposed for the harness only: reads one request frame
-/// from in_fd, runs it, writes one response frame to out_fd. Never returns —
-/// _exit(0) on a delivered response, _exit(3) on a protocol error, _exit(4)
-/// on an exception that escaped the engine boundary.
-[[noreturn]] void worker_child_main(int in_fd, int out_fd,
-                                    const WorkerConfig& config = {});
 
 }  // namespace gfa::worker

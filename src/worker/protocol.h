@@ -56,9 +56,8 @@ struct WorkerRequest {
   /// parent enforces the same limit externally with SIGTERM-then-SIGKILL.
   double timeout_seconds = 0.0;
   /// The engine's settings. Everything but `control` (the child builds its
-  /// own from timeout_seconds), `isolate_attempts` and the worker_*_path
-  /// pair crosses the wire; memory_budget_bytes also sizes the child's
-  /// RLIMIT_AS.
+  /// own from timeout_seconds) crosses the wire; memory_budget_bytes also
+  /// sizes the child's RLIMIT_AS.
   engine::RunOptions options;
   /// Fault-injection relays: the parent consumes "worker:crash" /
   /// "worker:hang" (see fault::consume) and sets these so exactly one

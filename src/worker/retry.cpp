@@ -4,28 +4,11 @@
 
 namespace gfa::worker {
 
-namespace {
-
-/// splitmix64: tiny, well-mixed, and stateless — ideal for turning
-/// (seed, attempt) into a reproducible jitter factor.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 double RetryPolicy::delay_before_attempt(unsigned attempt) const {
   if (attempt <= 1) return 0.0;
   double delay = backoff_seconds;
-  for (unsigned i = 2; i < attempt; ++i) delay *= backoff_multiplier;
-  delay = std::min(delay, max_backoff_seconds);
-  const std::uint64_t bits = splitmix64(jitter_seed ^ (attempt * 0x9E37ull));
-  const double frac =
-      static_cast<double>(bits >> 11) / 9007199254740992.0;  // [0, 1)
-  return delay * (0.75 + 0.5 * frac);
+  for (unsigned i = 2; i < attempt; ++i) delay *= kBackoffFactor;
+  return std::min(delay, kMaxBackoffSeconds);
 }
 
 bool RetryPolicy::retryable(StatusCode code) {

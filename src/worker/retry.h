@@ -6,10 +6,10 @@
 // the supervisor's point of view: the same request may well succeed on a
 // clean re-fork — especially with a little more memory. This policy decides
 // how many times to try, how long to sleep between attempts (exponential
-// backoff with deterministic jitter, so test runs are reproducible given a
-// seed), and whether to escalate the memory budget per retry.
-
-#include <cstdint>
+// backoff, doubling from backoff_seconds up to a 30 s cap), and whether to
+// escalate the memory budget per retry. The delays carry no jitter: a retry
+// re-forks a local child, so there is no shared resource for concurrent
+// retries to de-synchronise against.
 
 #include "util/status.h"
 
@@ -19,21 +19,18 @@ struct RetryPolicy {
   /// Total attempts, including the first (1 = never retry). The CLI's
   /// --retries=N maps to max_attempts = N + 1.
   unsigned max_attempts = 1;
-  /// Base backoff before the first retry; doubles per further retry.
+  /// Backoff before the first retry; doubles per further retry.
   double backoff_seconds = 0.25;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 30.0;
-  /// Seed for the deterministic jitter below. The same seed always yields
-  /// the same delays, so tests never flake on timing.
-  std::uint64_t jitter_seed = 0;
   /// Per-retry multiplier on the worker's memory budget (1.0 = none): a
   /// mem-killed attempt retries with budget * escalation, then * escalation²…
   double budget_escalation = 1.0;
 
+  /// Growth factor of the backoff per further retry, and its ceiling.
+  static constexpr double kBackoffFactor = 2.0;
+  static constexpr double kMaxBackoffSeconds = 30.0;
+
   /// Sleep before attempt `attempt` (2-based: there is no delay before the
-  /// first attempt). Exponential in the retry index, clamped to
-  /// max_backoff_seconds, then scaled by a jitter factor in [0.75, 1.25)
-  /// derived from jitter_seed and the attempt number (splitmix64).
+  /// first attempt): min(backoff_seconds · 2^(attempt−2), 30 s).
   double delay_before_attempt(unsigned attempt) const;
 
   /// Codes worth re-forking for. Deterministic failures (bad arguments,

@@ -1,5 +1,5 @@
 // Tests for the shared thread pool (util/parallel_for.h): completeness,
-// nesting, exception propagation, and concurrent use through parallel_invoke.
+// nesting, exception propagation, and live resizing.
 
 #include <gtest/gtest.h>
 
@@ -50,15 +50,6 @@ TEST(ParallelFor, PropagatesFirstException) {
   std::atomic<int> count{0};
   parallel_for(50, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ParallelInvoke, RunsBothAndPropagates) {
-  std::atomic<int> a{0}, b{0};
-  parallel_invoke([&] { a = 1; }, [&] { b = 2; });
-  EXPECT_EQ(a.load(), 1);
-  EXPECT_EQ(b.load(), 2);
-  EXPECT_THROW(parallel_invoke([] { throw std::logic_error("x"); }, [] {}),
-               std::logic_error);
 }
 
 TEST(ParallelFor, ThreadCountIsPositive) {

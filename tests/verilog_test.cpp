@@ -5,6 +5,7 @@
 #include "abstraction/equivalence.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
+#include "circuit/parser.h"
 #include "circuit/sim.h"
 #include "test_util.h"
 
@@ -149,6 +150,30 @@ TEST(Verilog, FileRoundTrip) {
   const Netlist back = read_verilog_file(path);
   EXPECT_EQ(back.num_logic_gates(), nl.num_logic_gates());
   EXPECT_THROW(read_verilog_file("/nonexistent/x.v"), std::runtime_error);
+}
+
+TEST(CircuitFile, SuffixPicksTheReader) {
+  const Netlist nl = parse_verilog(kMul2Verilog);
+  const std::string dir = ::testing::TempDir();
+  write_verilog_file(nl, dir + "/circuit_file.v");
+  write_netlist_file(nl, dir + "/circuit_file.net");
+  for (const char* name : {"/circuit_file.v", "/circuit_file.net"}) {
+    const Result<Netlist> r = try_read_circuit_file(dir + name);
+    ASSERT_TRUE(r.ok()) << name << ": " << r.status().to_string();
+    EXPECT_EQ(r->num_logic_gates(), nl.num_logic_gates()) << name;
+    EXPECT_NE(r->find_word("Z"), nullptr) << name;
+  }
+  // Verilog text under a non-.v name goes to the netlist parser.
+  write_verilog_file(nl, dir + "/circuit_file_verilog.net");
+  EXPECT_EQ(try_read_circuit_file(dir + "/circuit_file_verilog.net")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  // A missing file is an I/O failure in either format.
+  for (const char* path : {"/nonexistent/x.v", "/nonexistent/x.net"})
+    EXPECT_EQ(try_read_circuit_file(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << path;
 }
 
 // ---------------------------------------------------------------------------

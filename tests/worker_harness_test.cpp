@@ -1,10 +1,9 @@
 // Tests for the process-isolation layer (src/worker/): the length-prefixed
 // frame protocol and its JSON codecs, supervised forked runs, termination
 // classification (clean exit, injected crash, real SIGKILL, hang past the
-// wall clock), retry-with-backoff, the portfolio falling through a crashed
-// isolated attempt, and the portfolio's certify-once and counterexample
-// rules, in-process and over isolated attempts alike. The CI job runs this under ASan+UBSan: every
-// fork/kill path must stay clean.
+// wall clock), retry-with-backoff, and the portfolio's certify-once and
+// counterexample rules, in-process and as a whole forked run alike. The CI
+// job runs this under ASan+UBSan: every fork/kill path must stay clean.
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -114,11 +113,8 @@ TEST(WorkerProtocol, RequestCodecRoundTrips) {
   EXPECT_EQ(back->heartbeat_interval_seconds, 0.25);
   EXPECT_EQ(back->stall_timeout_seconds, 7.5);
   EXPECT_TRUE(back->trace);
-  // The child builds its own control from timeout_seconds; the isolation
-  // settings are the parent portfolio's business and stay home.
+  // The child builds its own control from timeout_seconds.
   EXPECT_TRUE(o.control.deadline.is_infinite());
-  EXPECT_FALSE(o.isolate_attempts);
-  EXPECT_TRUE(o.worker_spec_path.empty());
 }
 
 TEST(WorkerProtocol, RequestDecodeRejectsMissingPathsAndBadK) {
@@ -421,23 +417,20 @@ TEST(WorkerProtocol, FlightDumpFrameDecodesWhatTheHandlerEmits) {
 TEST(RetryPolicy, DelaysAreDeterministicBoundedAndClamped) {
   RetryPolicy p;
   p.backoff_seconds = 0.1;
-  p.backoff_multiplier = 2.0;
-  p.max_backoff_seconds = 0.35;
-  p.jitter_seed = 42;
-  const double d2 = p.delay_before_attempt(2);
-  const double d3 = p.delay_before_attempt(3);
-  const double d4 = p.delay_before_attempt(4);
-  // Same seed, same attempt -> same delay; jitter stays within [0.75, 1.25).
-  EXPECT_EQ(d2, p.delay_before_attempt(2));
-  EXPECT_GE(d2, 0.1 * 0.75);
-  EXPECT_LT(d2, 0.1 * 1.25);
-  EXPECT_GE(d3, 0.2 * 0.75);
-  EXPECT_LT(d3, 0.2 * 1.25);
-  // 0.4 clamps to 0.35 before jitter.
-  EXPECT_LT(d4, 0.35 * 1.25);
-  RetryPolicy other = p;
-  other.jitter_seed = 43;
-  EXPECT_NE(p.delay_before_attempt(2), other.delay_before_attempt(2));
+  // No delay before the first attempt, then backoff_seconds doubling.
+  EXPECT_EQ(p.delay_before_attempt(1), 0.0);
+  EXPECT_DOUBLE_EQ(p.delay_before_attempt(2), 0.1);
+  EXPECT_DOUBLE_EQ(p.delay_before_attempt(3), 0.2);
+  EXPECT_DOUBLE_EQ(p.delay_before_attempt(4), 0.4);
+  EXPECT_DOUBLE_EQ(p.delay_before_attempt(5), 0.8);
+  // 0.1 * 2^8 = 25.6 s is below the cap; 51.2 s clamps to 30 s, and so does
+  // every later attempt.
+  EXPECT_DOUBLE_EQ(p.delay_before_attempt(10), 25.6);
+  EXPECT_EQ(p.delay_before_attempt(11), 30.0);
+  EXPECT_EQ(p.delay_before_attempt(1000), 30.0);
+  // A base above the cap clamps from the first retry on.
+  p.backoff_seconds = 45.0;
+  EXPECT_EQ(p.delay_before_attempt(2), 30.0);
 }
 
 TEST(RetryPolicy, OnlyTransientCodesAreRetryable) {
@@ -644,85 +637,29 @@ TEST(WorkerHarness, ChildTraceEventsMergeOntoTheParentTimeline) {
 }
 
 // ---------------------------------------------------------------------------
-// Portfolio over isolated attempts.
-
-TEST(WorkerHarness, PortfolioFallsThroughACrashedIsolatedAttempt) {
-  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
-  Disarmer disarm;
-  const Instance inst = make_instance(4);
-  const Gf2k field = Gf2k::make(4);
-  const Result<Netlist> spec = try_read_netlist_file(inst.req.spec_path);
-  const Result<Netlist> impl = try_read_netlist_file(inst.req.impl_path);
-  ASSERT_TRUE(spec.ok() && impl.ok());
-  engine::RunOptions options;
-  options.portfolio_engines = {"abstraction", "sat"};
-  options.isolate_attempts = true;
-  options.worker_spec_path = inst.req.spec_path;
-  options.worker_impl_path = inst.req.impl_path;
-  ASSERT_TRUE(fault::arm("worker:crash", 1).ok());
-  const Result<engine::VerifyResult> r =
-      engine::EngineRegistry::global().find("portfolio")->verify(
-          *spec, *impl, field, options);
-  EXPECT_TRUE(fault::fired());
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(r->verdict, engine::Verdict::kEquivalent);
-  ASSERT_EQ(r->attempts.size(), 2u);
-  EXPECT_EQ(r->attempts[0].status.code(), StatusCode::kWorkerCrashed);
-  EXPECT_TRUE(r->attempts[1].status.ok());
-}
-
-TEST(WorkerHarness, RaceRejectsIsolatedAttempts) {
-  const Instance inst = make_instance(4);
-  const Gf2k field = Gf2k::make(4);
-  const Result<Netlist> spec = try_read_netlist_file(inst.req.spec_path);
-  const Result<Netlist> impl = try_read_netlist_file(inst.req.impl_path);
-  ASSERT_TRUE(spec.ok() && impl.ok());
-  engine::RunOptions options;
-  options.portfolio_engines = {"abstraction", "sat"};
-  options.isolate_attempts = true;
-  options.portfolio_race = true;
-  options.worker_spec_path = inst.req.spec_path;
-  options.worker_impl_path = inst.req.impl_path;
-  const Result<engine::VerifyResult> r =
-      engine::EngineRegistry::global().find("portfolio")->verify(
-          *spec, *impl, field, options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(WorkerHarness, IsolatedAttemptsNeedTheCircuitPaths) {
-  const Instance inst = make_instance(4);
-  const Gf2k field = Gf2k::make(4);
-  const Result<Netlist> spec = try_read_netlist_file(inst.req.spec_path);
-  const Result<Netlist> impl = try_read_netlist_file(inst.req.impl_path);
-  ASSERT_TRUE(spec.ok() && impl.ok());
-  engine::RunOptions options;
-  options.isolate_attempts = true;  // but no worker_*_path
-  const Result<engine::VerifyResult> r =
-      engine::EngineRegistry::global().find("portfolio")->verify(
-          *spec, *impl, field, options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
 // The portfolio's verdict is the deciding attempt's, certified once — the
-// same in-process and over isolated attempts.
+// same in-process and as a whole forked run.
 
-/// Runs the portfolio through run_engine() on the instance's files, with its
-/// attempts in-process or forked.
+/// Runs the portfolio on the instance's files: through run_engine() in this
+/// process, or forked whole through run_isolated_with_retry().
 engine::EngineRun run_portfolio(const std::string& spec_path,
                                 const std::string& impl_path, unsigned k,
                                 bool isolate, bool certify) {
+  if (isolate) {
+    WorkerRequest req;
+    req.spec_path = spec_path;
+    req.impl_path = impl_path;
+    req.k = k;
+    req.engine = "portfolio";
+    req.options.certify = certify;
+    return run_isolated_with_retry(req, RetryPolicy{});
+  }
   const Gf2k field = Gf2k::make(k);
   const Result<Netlist> spec = try_read_netlist_file(spec_path);
   const Result<Netlist> impl = try_read_netlist_file(impl_path);
   EXPECT_TRUE(spec.ok() && impl.ok());
   engine::RunOptions options;
   options.certify = certify;
-  options.isolate_attempts = isolate;
-  options.worker_spec_path = spec_path;
-  options.worker_impl_path = impl_path;
   return engine::run_engine(*engine::EngineRegistry::global().find("portfolio"),
                             *spec, *impl, field, options);
 }
@@ -736,14 +673,19 @@ class PortfolioModes : public ::testing::TestWithParam<bool> {
 TEST_P(PortfolioModes, CertifiesTheFinalVerdictExactlyOnce) {
   if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
+  const bool isolated = GetParam();
   const Instance inst = make_instance(8);
   // The first certification is the portfolio's own: it fails the run
-  // instead of sending the portfolio on to the next engine.
+  // instead of sending the portfolio on to the next engine. A forked run
+  // inherits the armed site; it fires in the child, so only the run record
+  // (not this process's fault state or metrics) shows it there.
   ASSERT_TRUE(fault::arm_spec("certify:mismatch:1").ok());
   obs::Metrics::instance().reset_all();
   const engine::EngineRun failed = run_portfolio(
-      inst.req.spec_path, inst.req.impl_path, 8, GetParam(), true);
-  EXPECT_TRUE(fault::fired());
+      inst.req.spec_path, inst.req.impl_path, 8, isolated, true);
+  if (!isolated) {
+    EXPECT_TRUE(fault::fired());
+  }
   EXPECT_EQ(failed.status.code(), StatusCode::kCertificationFailed)
       << failed.status.to_string();
   EXPECT_EQ(exit_code_for(failed.status.code()), 73);
@@ -755,13 +697,15 @@ TEST_P(PortfolioModes, CertifiesTheFinalVerdictExactlyOnce) {
   ASSERT_TRUE(fault::arm_spec("certify:mismatch:2").ok());
   obs::Metrics::instance().reset_all();
   const engine::EngineRun passed = run_portfolio(
-      inst.req.spec_path, inst.req.impl_path, 8, GetParam(), true);
+      inst.req.spec_path, inst.req.impl_path, 8, isolated, true);
   EXPECT_FALSE(fault::fired());
   ASSERT_TRUE(passed.status.ok()) << passed.status.to_string();
   EXPECT_EQ(passed.verdict, engine::Verdict::kEquivalent);
-  EXPECT_EQ(obs::Metrics::instance().counter("certify.runs").value(), 1u);
-  EXPECT_GT(obs::Metrics::instance().counter("certify.points").value(), 0u);
   EXPECT_GT(passed.stats.at("certify_points"), 0.0);
+  if (!isolated) {
+    EXPECT_EQ(obs::Metrics::instance().counter("certify.runs").value(), 1u);
+    EXPECT_GT(obs::Metrics::instance().counter("certify.points").value(), 0u);
+  }
 }
 
 TEST_P(PortfolioModes, KeepsTheDecidingAttemptsCounterexample) {
@@ -781,8 +725,9 @@ TEST_P(PortfolioModes, KeepsTheDecidingAttemptsCounterexample) {
   ASSERT_TRUE(alone.counterexample.replayed);
 
   obs::Metrics::instance().reset_all();
+  const bool isolated = GetParam();
   const engine::EngineRun run =
-      run_portfolio(inst.req.spec_path, mutant, 8, GetParam(), false);
+      run_portfolio(inst.req.spec_path, mutant, 8, isolated, false);
   ASSERT_TRUE(run.status.ok()) << run.status.to_string();
   EXPECT_EQ(run.verdict, engine::Verdict::kNotEquivalent);
   EXPECT_EQ(run.counterexample.inputs, alone.counterexample.inputs);
@@ -790,7 +735,15 @@ TEST_P(PortfolioModes, KeepsTheDecidingAttemptsCounterexample) {
   EXPECT_EQ(run.counterexample.expected, alone.counterexample.expected);
   EXPECT_EQ(run.counterexample.actual, alone.counterexample.actual);
   EXPECT_TRUE(run.counterexample.replayed);
-  EXPECT_EQ(obs::Metrics::instance().counter("witness.backfills").value(), 0u);
+  ASSERT_FALSE(run.attempts.empty());
+  EXPECT_EQ(run.attempts[0].engine, "abstraction");
+  EXPECT_EQ(run.attempts[0].verdict, engine::Verdict::kNotEquivalent);
+  // A forked run counts its backfills in the child; the exact match above
+  // already shows the abstraction attempt's witness was kept.
+  if (!isolated) {
+    EXPECT_EQ(obs::Metrics::instance().counter("witness.backfills").value(),
+              0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(InProcessAndIsolated, PortfolioModes,

@@ -9,9 +9,8 @@
 //                   [--attempt-timeout=<s>] [--portfolio-engines=<a,b,…>]
 //                   [--race] [--certify]
 //                   [--isolate] [--retries=<n>] [--retry-backoff=<dur>]
-//                   [--retry-seed=<n>] [--retry-budget-escalation=<f>]
+//                   [--retry-budget-escalation=<f>]
 //                   [--heartbeat-interval=<s>] [--stall-timeout=<s>]
-//                   [--isolate-attempts]
 //   gfa_tool compare <spec> <impl> <k> [--engines=<a,b,…>] [--timeout=<s>]
 //                    [--report=<file>]
 //   gfa_tool engines                       list registered engines
@@ -45,7 +44,6 @@
 //                                  75 deadline (--timeout) exceeded
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -85,19 +83,13 @@ int fail(const Status& status) {
   return exit_code_for(status.code());
 }
 
-bool has_suffix(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 Result<Netlist> load(const std::string& path) {
   const gfa::obs::TraceSpan span("parse", "io");
-  return has_suffix(path, ".v") ? try_read_verilog_file(path)
-                                : try_read_netlist_file(path);
+  return try_read_circuit_file(path);
 }
 
 void save(const Netlist& nl, const std::string& path) {
-  if (has_suffix(path, ".v"))
+  if (path.ends_with(".v"))
     write_verilog_file(nl, path);
   else
     write_netlist_file(nl, path);
@@ -120,11 +112,10 @@ struct Flags {
   engine::RunOptions options;
   std::string inject;             // fault site spec, empty = off
   // Worker isolation & recovery (verify only).
-  bool isolate = false;           // fork the engine into a supervised child
+  bool isolate = false;           // fork the whole run into a supervised child
   unsigned retries = 0;           // extra isolated attempts after the first
   bool retries_set = false;       // --retries given (needs --isolate)
   double retry_backoff_seconds = 0.25;
-  std::uint64_t retry_seed = 0;
   double retry_budget_escalation = 1.0;
   double heartbeat_interval_seconds = 1.0;  // worker telemetry cadence; 0 = off
   double stall_timeout_seconds = 0.0;       // 0 = stall detector off
@@ -185,10 +176,6 @@ Result<Flags> parse_flags(int argc, char** argv) {
       Result<double> d = parse_duration_seconds(value);
       if (!d.ok()) return d.status();
       flags.retry_backoff_seconds = *d;
-    } else if (name == "--retry-seed") {
-      Result<std::uint64_t> n = parse_u64(value);
-      if (!n.ok()) return n.status();
-      flags.retry_seed = *n;
     } else if (name == "--retry-budget-escalation") {
       Result<double> f = parse_double(value, 1.0, 100.0);
       if (!f.ok()) return f.status();
@@ -236,10 +223,6 @@ Result<Flags> parse_flags(int argc, char** argv) {
     }
     if (arg == "--isolate") {
       flags.isolate = true;
-      continue;
-    }
-    if (arg == "--isolate-attempts") {
-      flags.options.isolate_attempts = true;
       continue;
     }
     const std::size_t eq = arg.find('=');
@@ -388,9 +371,6 @@ Status check_verify_flags(const Flags& flags) {
   if (flags.retries_set && !flags.isolate)
     return Status::invalid_argument(
         "--retries only applies to isolated runs; add --isolate");
-  if (flags.isolate && flags.options.isolate_attempts)
-    return Status::invalid_argument(
-        "--isolate already forks the whole run; drop --isolate-attempts");
   if (flags.stall_timeout_seconds > 0 && !flags.isolate)
     return Status::invalid_argument(
         "--stall-timeout watches a worker's heartbeat stream; add --isolate");
@@ -413,7 +393,6 @@ int cmd_verify(const Flags& flags) {
     worker::RetryPolicy policy;
     policy.max_attempts = flags.retries + 1;
     policy.backoff_seconds = flags.retry_backoff_seconds;
-    policy.jitter_seed = flags.retry_seed;
     policy.budget_escalation = flags.retry_budget_escalation;
     // The child gets the circuit *paths* and parses them itself, so a parse
     // crash stays inside the sandbox too.
@@ -437,14 +416,8 @@ int cmd_verify(const Flags& flags) {
     const Result<const engine::EquivEngine*> eng =
         engine::EngineRegistry::global().require(flags.engine);
     if (!eng.ok()) return fail(eng.status());
-    engine::RunOptions options = run_options_from(flags);
-    if (options.isolate_attempts) {
-      // The portfolio forks each attempt; its workers re-read the circuits
-      // from disk, so hand the paths through.
-      options.worker_spec_path = flags.positional[0];
-      options.worker_impl_path = flags.positional[1];
-    }
-    run = engine::run_engine(**eng, *spec, *impl, *field, options);
+    run = engine::run_engine(**eng, *spec, *impl, *field,
+                             run_options_from(flags));
   }
   maybe_write_report(flags, "verify", *k, {run});
   if (!run.status.ok()) return fail(run.status);
@@ -612,9 +585,8 @@ void usage() {
       "          [--memory-budget=<bytes|64K|512M|2G>] [--attempt-timeout=<s>]"
       " [--portfolio-engines=<a,b,...>] [--race] [--certify]\n"
       "          [--isolate] [--retries=<n>] [--retry-backoff=<dur>]"
-      " [--retry-seed=<n>] [--retry-budget-escalation=<f>]\n"
+      " [--retry-budget-escalation=<f>]\n"
       "          [--heartbeat-interval=<s>] [--stall-timeout=<s>]\n"
-      "          [--isolate-attempts]\n"
       "  gfa_tool compare <spec> <impl> <k> [--engines=<a,b,...>]"
       " [--timeout=<s>] [--report=<file>]\n"
       "  gfa_tool engines\n"
