@@ -20,7 +20,7 @@ int hex_digit(char c) {
 
 }  // namespace
 
-std::string hex_of_words(const std::vector<std::uint64_t>& words) {
+std::string hex_of_words(std::span<const std::uint64_t> words) {
   // Trailing zero words contribute nothing; find the top non-zero word.
   std::size_t top = words.size();
   while (top > 0 && words[top - 1] == 0) --top;

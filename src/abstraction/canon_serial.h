@@ -23,6 +23,7 @@
 // stale-format entry can cost time, never a wrong verdict.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,7 +39,7 @@ inline constexpr std::uint32_t kCanonFormVersion = 1;
 
 /// Little-endian u64 words -> lowercase hex (most significant nibble first,
 /// no leading zeros, "0" for the empty/zero vector).
-std::string hex_of_words(const std::vector<std::uint64_t>& words);
+std::string hex_of_words(std::span<const std::uint64_t> words);
 
 /// Inverse of hex_of_words(); kInvalidArgument on non-hex characters or an
 /// empty string.

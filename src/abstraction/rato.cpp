@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+
+#include "obs/metrics.h"
 
 namespace gfa {
 
@@ -41,12 +44,17 @@ const Word* output_word(const Netlist& netlist) {
 }
 
 std::vector<NetId> rato_net_order(const Netlist& netlist) {
+  // A counting sort by level; filling each level's bucket in NetId order
+  // keeps ties by NetId.
   const std::vector<unsigned> level = netlist.reverse_topological_levels();
-  std::vector<NetId> order(netlist.num_nets());
-  for (NetId n = 0; n < order.size(); ++n) order[n] = n;
-  std::stable_sort(order.begin(), order.end(), [&](NetId a, NetId b) {
-    return level[a] < level[b];
-  });
+  unsigned levels = 0;
+  for (unsigned l : level) levels = std::max(levels, l + 1);
+  GFA_GAUGE_MAX("rato.levels", levels);
+  std::vector<std::uint32_t> next(levels + 1, 0);  // next free slot per level
+  for (unsigned l : level) ++next[l + 1];
+  for (unsigned l = 1; l <= levels; ++l) next[l] += next[l - 1];
+  std::vector<NetId> order(level.size());
+  for (NetId n = 0; n < level.size(); ++n) order[next[level[n]]++] = n;
   return order;
 }
 

@@ -33,7 +33,7 @@ inline void timed_substitute(bool sample, Fn&& fn) {
 void BackwardRewriter::substitute(VarId v, const FlatTail& tail) {
   // Flat tails carry implicit all-one coefficients: every expanded term
   // reuses the affected term's coefficient unchanged, and the last expansion
-  // moves it (its heap buffer lands in the map without a copy).
+  // moves it.
   if (occurs_[v].empty()) return;  // v no longer occurs: nothing to rewrite
   OccList pending = std::move(occurs_[v]);
   occurs_[v] = {};
@@ -70,16 +70,12 @@ void BackwardRewriter::substitute(VarId v, const FlatTail& tail) {
       const std::size_t b = occ_entry_bytes(mono);
       occ_bytes_ = occ_bytes_ > b ? occ_bytes_ - b : 0;
       // The find's slot line was prefetched an iteration ago; probe now,
-      // issue the coefficient heap buffer's prefetch, and only then
-      // stage the next term — by the time the coefficient is moved out
-      // below, its line has had the staging work's latency to arrive.
+      // then stage the next term before expanding this one.
       auto it = terms_.find(mono);
-      const bool live = it != terms_.end();
-      if (live) __builtin_prefetch(it->second.words().data(), 1, 1);
       if (pi + 1 < np) stage(pending[pi + 1]);
-      if (!live) continue;  // cancelled since registration
+      if (it == terms_.end()) continue;  // cancelled since registration
       Gf2k::Elem coeff = std::move(it->second);
-      spill_bytes_ -= it->first.spill_bytes();
+      spill_bytes_ -= it->first.spill_bytes() + coeff.heap_bytes();
       terms_.erase(it);
       add(std::move(m0), coeff);
       add(std::move(m1), std::move(coeff));
@@ -98,7 +94,7 @@ void BackwardRewriter::substitute(VarId v, const FlatTail& tail) {
     auto it = terms_.find(mono);
     if (it == terms_.end()) continue;  // cancelled since registration
     Gf2k::Elem coeff = std::move(it->second);
-    spill_bytes_ -= it->first.spill_bytes();
+    spill_bytes_ -= it->first.spill_bytes() + coeff.heap_bytes();
     terms_.erase(it);
     const BitMono rest = mono.without(v);
     for (std::size_t t = 0; t + 1 < ms.size(); ++t)

@@ -13,7 +13,7 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "abstraction/bitpoly.h"
@@ -115,52 +115,28 @@ class BackwardRewriter {
         control_(control),
         lease_(budget_of(control), BudgetSite::kRewriterTerms) {}
 
-  void add(BitMono mono, const Gf2k::Elem& coeff) {
-    add_impl(std::move(mono), coeff);
-  }
-  /// Move overload: on a fresh insert the coefficient's heap buffer moves
-  /// into the map instead of being copied (one malloc per term at k > 64).
-  void add(BitMono mono, Gf2k::Elem&& coeff) {
-    add_impl(std::move(mono), std::move(coeff));
-  }
-
- private:
+  /// Adds coeff·mono. An rvalue coefficient is moved into a fresh slot;
+  /// either way only coefficients past k = 256 own a heap buffer.
   template <class C>
-  void add_impl(BitMono mono, C&& coeff) {
+  void add(BitMono mono, C&& coeff) {
     if (coeff.is_zero()) return;
     GFA_FAULT_POINT("oom:rewriter.add");
-    // Spent coefficient buffers (cancelled terms, unconsumed rvalues) are
-    // recycled through a small pool: a copy-insert lands in a recycled
-    // buffer's capacity instead of a fresh heap block.
-    constexpr bool kByMove = !std::is_reference_v<C>;
     // try_emplace leaves `mono` (and `coeff`) intact when the key already
     // exists; it forwards the coefficient only on a fresh insert.
-    std::pair<TermMap::iterator, bool> r;
-    if constexpr (!kByMove) {
-      r = terms_.try_emplace(std::move(mono));
-      if (r.second) {
-        Gf2k::Elem& slot = r.first->second;
-        if (!elem_pool_.empty()) {
-          slot = std::move(elem_pool_.back());
-          elem_pool_.pop_back();
-        }
-        slot = coeff;
-      }
-    } else {
-      r = terms_.try_emplace(std::move(mono), std::forward<C>(coeff));
-    }
-    auto [it, inserted] = r;
+    auto [it, inserted] =
+        terms_.try_emplace(std::move(mono), std::forward<C>(coeff));
     if (!inserted) {
+      spill_bytes_ -= it->second.heap_bytes();
       it->second += coeff;
-      if constexpr (kByMove) recycle(std::move(coeff));
       if (it->second.is_zero()) {
         spill_bytes_ -= it->first.spill_bytes();
-        recycle(std::move(it->second));
         terms_.erase(it);
+      } else {
+        spill_bytes_ += it->second.heap_bytes();
       }
       return;  // already indexed
     }
-    spill_bytes_ += it->first.spill_bytes();
+    spill_bytes_ += it->first.spill_bytes() + it->second.heap_bytes();
     for (VarId v : it->first) {
       if (substitutable_[v]) {
         occurs_[v].push_back(it->first);
@@ -173,10 +149,9 @@ class BackwardRewriter {
     // Byte accounting is synced every 64 mutations — often enough to stop a
     // blow-up, rare enough to keep the atomics out of the inner loop.
     if (lease_.active() && (++budget_ops_ & 63u) == 0)
-      lease_.set_bytes(map_bytes(terms_) + spill_bytes_ + occ_bytes_);
+      lease_.set_bytes(terms_.allocated_bytes() + spill_bytes_ + occ_bytes_);
   }
 
- public:
   void add(const BitPoly& p) {
     for (const auto& [m, c] : p.terms()) add(m, c);
   }
@@ -230,29 +205,18 @@ class BackwardRewriter {
     return sizeof(BitMono) + m.spill_bytes();
   }
 
-  /// Bytes the term map charges against the rewriter.terms budget site:
-  /// exact arena footprint plus a per-coefficient estimate (the Gf2Poly word
-  /// buffers live outside the arena).
-  static std::size_t map_bytes(const TermMap& t) {
-    return t.allocated_bytes() + t.size() * 32;
-  }
-
-  /// Banks a spent coefficient's heap buffer for reuse (bounded pool).
-  void recycle(Gf2k::Elem&& e) {
-    if (elem_pool_.size() < kElemPoolCap) elem_pool_.push_back(std::move(e));
-  }
-  static constexpr std::size_t kElemPoolCap = 64;
-
   std::vector<bool> substitutable_;
   TermMap terms_;
   std::vector<OccList> occurs_;
   std::size_t max_terms_;
   const ExecControl* control_;
   std::size_t occ_bytes_ = 0;    // current occurrence-index footprint
-  std::size_t spill_bytes_ = 0;  // arena bytes owned by keys in terms_
+  // Heap bytes owned by terms_'s entries: spilled keys' arena buffers and
+  // spilled (k > 256) coefficients' word buffers. With the map's own
+  // allocated_bytes() this is the term map's exact footprint.
+  std::size_t spill_bytes_ = 0;
   std::size_t budget_ops_ = 0;   // mutation counter for the sync cadence
   std::size_t peak_terms_ = 0;   // high-water mark of terms_.size()
-  std::vector<Gf2k::Elem> elem_pool_;  // recycled coefficient buffers
   BudgetLease lease_;            // releases everything on destruction
 };
 

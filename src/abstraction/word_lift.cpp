@@ -51,7 +51,7 @@ WordLift::WordLift(const Gf2k* field, const std::vector<Elem>* basis,
     if (basis_.empty()) {
       set_bit(beta + i * w, i);  // α^i, i < k, is coordinate i
     } else {
-      const std::vector<std::uint64_t>& bw = basis_[i].words();
+      const std::span<const std::uint64_t> bw = basis_[i].words();
       std::copy(bw.begin(), bw.end(), beta + i * w);
     }
   }
@@ -173,7 +173,7 @@ void add_flat(const Gf2k& field, std::size_t w,
   if (!field.is_canonical(c))
     return add_flat(field, w, flat, size, index, field.reduce(c));
   if (flat.empty()) flat.assign(size * w, 0);
-  const std::vector<std::uint64_t>& cw = c.words();
+  const std::span<const std::uint64_t> cw = c.words();
   for (std::size_t x = 0; x < cw.size(); ++x) flat[index * w + x] ^= cw[x];
 }
 

@@ -38,31 +38,43 @@ std::optional<GateType> gate_type_from_name(std::string_view name) {
 }
 
 NetId Netlist::new_net(GateType type, std::vector<NetId> fanins,
-                       std::string_view name) {
+                       std::string_view name, std::uint32_t name_hash) {
   const NetId id = static_cast<NetId>(gates_.size());
-  std::string net_name =
-      name.empty() ? "n" + std::to_string(id) : std::string(name);
-  assert(by_name_.find(net_name) == by_name_.end() && "duplicate net name");
-  by_name_.emplace(net_name, id);
-  gates_.push_back(Gate{type, std::move(fanins), std::move(net_name)});
+  [[maybe_unused]] const bool fresh =
+      names_.insert(name, name_hash, id, [this](NetId n) { return name_of(n); })
+          .second;
+  assert(fresh && "duplicate net name");
+  gates_.push_back(Gate{type, std::move(fanins), std::string(name)});
   return id;
 }
 
 NetId Netlist::add_input(std::string_view name) {
-  const NetId id = new_net(GateType::kInput, {}, name);
+  return add_input(name, NameTable::hash(name));
+}
+
+NetId Netlist::add_input(std::string_view name, std::uint32_t name_hash) {
+  const NetId id = new_net(GateType::kInput, {}, name, name_hash);
   inputs_.push_back(id);
   return id;
 }
 
 NetId Netlist::add_gate(GateType type, const std::vector<NetId>& fanins,
                         std::string_view name) {
+  if (!name.empty()) return add_gate(type, fanins, name, NameTable::hash(name));
+  const std::string fresh = "n" + std::to_string(gates_.size());
+  return add_gate(type, fanins, fresh, NameTable::hash(fresh));
+}
+
+NetId Netlist::add_gate(GateType type, const std::vector<NetId>& fanins,
+                        std::string_view name, std::uint32_t name_hash) {
   assert(type != GateType::kInput && "use add_input");
-  for (NetId f : fanins) assert(f < gates_.size() && "fanin does not exist");
-  return new_net(type, fanins, name);
+  for ([[maybe_unused]] NetId f : fanins)
+    assert(f < gates_.size() && "fanin does not exist");
+  return new_net(type, fanins, name, name_hash);
 }
 
 NetId Netlist::add_const(bool value, std::string_view name) {
-  return new_net(value ? GateType::kConst1 : GateType::kConst0, {}, name);
+  return add_gate(value ? GateType::kConst1 : GateType::kConst0, {}, name);
 }
 
 void Netlist::mark_output(NetId net) {
@@ -81,12 +93,13 @@ std::size_t Netlist::num_logic_gates() const {
 }
 
 NetId Netlist::find_net(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
-  return it == by_name_.end() ? kNoNet : it->second;
+  const NetId id = names_.find(name, NameTable::hash(name),
+                               [this](NetId n) { return name_of(n); });
+  return id == NameTable::kNoId ? kNoNet : id;
 }
 
 void Netlist::declare_word(std::string_view name, std::vector<NetId> bits) {
-  for (NetId b : bits) assert(b < gates_.size());
+  for ([[maybe_unused]] NetId b : bits) assert(b < gates_.size());
   words_.push_back(Word{std::string(name), std::move(bits)});
 }
 
@@ -96,45 +109,58 @@ const Word* Netlist::find_word(std::string_view name) const {
   return nullptr;
 }
 
+bool Netlist::fanins_precede_gates() const {
+  for (NetId n = 0; n < gates_.size(); ++n)
+    for (NetId f : gates_[n].fanins)
+      if (f >= n) return false;
+  return true;
+}
+
 std::vector<NetId> Netlist::topological_order() const {
-  // Kahn's algorithm over the fanin relation.
-  std::vector<unsigned> pending(gates_.size(), 0);
-  std::vector<std::vector<NetId>> fanouts(gates_.size());
-  for (NetId n = 0; n < gates_.size(); ++n) {
-    pending[n] = static_cast<unsigned>(gates_[n].fanins.size());
-    for (NetId f : gates_[n].fanins) fanouts[f].push_back(n);
+  // Kahn's algorithm over the fanin relation. Fanouts sit in one CSR array,
+  // each net's list in (fanout NetId, fanin position) order; `order` doubles
+  // as the FIFO of ready nets.
+  const std::size_t n = gates_.size();
+  // first[f] counts f's fanouts, then (prefix sum) ends past them, then
+  // (reverse fill) starts at them; first[n] stays the total.
+  std::vector<std::uint32_t> first(n + 1, 0);
+  for (const Gate& g : gates_)
+    for (NetId f : g.fanins) ++first[f];
+  for (std::size_t i = 1; i <= n; ++i) first[i] += first[i - 1];
+  std::vector<NetId> fanout(first[n]);
+  std::vector<std::uint32_t> pending(n);
+  for (NetId g = static_cast<NetId>(n); g-- > 0;) {
+    const std::vector<NetId>& fi = gates_[g].fanins;
+    pending[g] = static_cast<std::uint32_t>(fi.size());
+    for (auto it = fi.rbegin(); it != fi.rend(); ++it) fanout[--first[*it]] = g;
   }
   std::vector<NetId> order;
-  order.reserve(gates_.size());
-  std::vector<NetId> ready;  // processed FIFO for deterministic, stable order
-  for (NetId n = 0; n < gates_.size(); ++n)
-    if (pending[n] == 0) ready.push_back(n);
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    const NetId n = ready[head];
-    order.push_back(n);
-    for (NetId fo : fanouts[n]) {
-      if (--pending[fo] == 0) ready.push_back(fo);
-    }
+  order.reserve(n);
+  for (NetId g = 0; g < n; ++g)
+    if (pending[g] == 0) order.push_back(g);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NetId g = order[head];
+    for (std::uint32_t i = first[g]; i < first[g + 1]; ++i)
+      if (--pending[fanout[i]] == 0) order.push_back(fanout[i]);
   }
-  if (order.size() != gates_.size())
+  if (order.size() != n)
     throw std::logic_error("netlist contains a combinational cycle");
   return order;
 }
 
 std::vector<unsigned> Netlist::reverse_topological_levels() const {
-  const std::vector<NetId> topo = topological_order();
+  // Every fanout of a net comes after it in topological order, so walking
+  // that order backwards finishes a net's level before pushing it to the
+  // net's fanins.
   std::vector<unsigned> level(gates_.size(), 0);
-  // Walk anti-topologically: a net's reverse level is 1 + max over fanouts.
-  // Outputs anchor at 0; nets feeding nothing also get 0 and then dominate
-  // nothing, which keeps them below their fanins as required.
-  std::vector<std::vector<NetId>> fanouts(gates_.size());
-  for (NetId n = 0; n < gates_.size(); ++n)
-    for (NetId f : gates_[n].fanins) fanouts[f].push_back(n);
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NetId n = *it;
-    unsigned lv = 0;
-    for (NetId fo : fanouts[n]) lv = std::max(lv, level[fo] + 1);
-    level[n] = lv;
+  const auto push = [&](NetId g) {
+    for (NetId f : gates_[g].fanins) level[f] = std::max(level[f], level[g] + 1);
+  };
+  if (fanins_precede_gates()) {
+    for (NetId g = static_cast<NetId>(gates_.size()); g-- > 0;) push(g);
+  } else {
+    const std::vector<NetId> topo = topological_order();
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) push(*it);
   }
   return level;
 }

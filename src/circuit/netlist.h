@@ -12,8 +12,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "circuit/name_table.h"
 
 namespace gfa {
 
@@ -60,7 +61,7 @@ class Netlist {
   /// regrow its tables.
   void reserve(std::size_t nets) {
     gates_.reserve(nets);
-    by_name_.reserve(nets);
+    names_.reserve(nets);
   }
 
   /// Creates a primary input net.
@@ -69,6 +70,12 @@ class Netlist {
   /// Creates a gate driving a fresh net. Fanins must already exist.
   NetId add_gate(GateType type, const std::vector<NetId>& fanins,
                  std::string_view name = {});
+
+  /// The same for a caller that already holds NameTable::hash(name) of a
+  /// non-empty name (the parser hashes each name once).
+  NetId add_input(std::string_view name, std::uint32_t name_hash);
+  NetId add_gate(GateType type, const std::vector<NetId>& fanins,
+                 std::string_view name, std::uint32_t name_hash);
 
   NetId add_const(bool value, std::string_view name = {});
 
@@ -92,16 +99,22 @@ class Netlist {
   const std::vector<Word>& words() const { return words_; }
   const Word* find_word(std::string_view name) const;
 
-  /// Nets in topological order (fanins before fanouts). Construction order is
-  /// already topological for programmatically built netlists; this recomputes
-  /// from scratch so parsed netlists are covered too. Aborts on cycles.
+  /// True when every fanin carries a smaller NetId than its gate, so NetId
+  /// order is itself a topological order. add_gate() guarantees this for
+  /// generated and parsed netlists; only a gate rerouted through
+  /// mutable_gate() can break it. One pass, no allocation.
+  bool fanins_precede_gates() const;
+
+  /// Nets in Kahn order: sources by NetId, then each net once its last
+  /// fanin is out (FIFO). Deterministic, and the line order of
+  /// write_netlist. Throws std::logic_error on a cycle.
   std::vector<NetId> topological_order() const;
 
-  /// Reverse-topological level of every net: outputs get level 0, and each
-  /// net's level is 1 + max over its fanouts. This is the traversal of RATO
-  /// (paper Definition 5.1): smaller level = closer to the outputs = larger
-  /// in the term order. Nets with no path to an output get levels past the
-  /// deepest output cone.
+  /// Reverse-topological level of every net: a net that drives nothing gets
+  /// level 0, and every other net 1 + max over its fanouts. This is the
+  /// traversal of RATO (paper Definition 5.1): smaller level = closer to the
+  /// outputs = larger in the term order. One reverse pass over NetIds when
+  /// fanins_precede_gates(), else over topological_order().
   std::vector<unsigned> reverse_topological_levels() const;
 
   /// Structural checks: fanin arities, dangling fanins, acyclicity.
@@ -114,8 +127,10 @@ class Netlist {
   std::vector<NetId> inputs_;
   std::vector<NetId> outputs_;
   std::vector<Word> words_;
-  std::unordered_map<std::string, NetId> by_name_;
-  NetId new_net(GateType type, std::vector<NetId> fanins, std::string_view name);
+  NameTable names_;  // net name -> NetId over gates_[id].name
+  NetId new_net(GateType type, std::vector<NetId> fanins, std::string_view name,
+                std::uint32_t name_hash);
+  std::string_view name_of(NetId n) const { return gates_[n].name; }
 };
 
 }  // namespace gfa

@@ -1,35 +1,55 @@
 #include "circuit/parser.h"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace gfa {
 
 namespace {
 
-/// Splits `line` at spaces, tabs and carriage returns, stopping at a '#'
-/// comment. The tokens view `line`; `toks` is reused across lines.
-void tokenize(std::string_view line, std::vector<std::string_view>& toks) {
+/// True for the bytes that end a token: blanks, the newline, and the '#'
+/// that starts a comment. Name bytes are mostly above '#', so one compare
+/// settles the common case.
+inline bool ends_token(char c) {
+  return static_cast<unsigned char>(c) <= '#' &&
+         (c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '#');
+}
+
+/// Splits the line of `text` that starts at `pos` at spaces, tabs and
+/// carriage returns, stopping at a '#' comment, and returns where the next
+/// line starts (text.size() + 1 past the last line). One pass over the
+/// bytes; the tokens view `text`, and `toks` is reused across lines.
+std::size_t tokenize_line(std::string_view text, std::size_t pos,
+                          std::vector<std::string_view>& toks) {
   toks.clear();
-  line = line.substr(0, line.find('#'));
-  const auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
-  std::size_t i = 0;
-  while (i < line.size()) {
-    if (blank(line[i])) {
-      ++i;
+  const char* s = text.data();
+  const std::size_t n = text.size();
+  while (pos < n) {
+    const char c = s[pos];
+    if (c == '\n') return pos + 1;
+    if (c == '#') {
+      const std::size_t nl = text.find('\n', pos);
+      return nl == std::string_view::npos ? n + 1 : nl + 1;
+    }
+    if (ends_token(c)) {
+      ++pos;
       continue;
     }
-    std::size_t j = i;
-    while (j < line.size() && !blank(line[j])) ++j;
-    toks.push_back(line.substr(i, j - i));
-    i = j;
+    const std::size_t start = pos;
+    while (pos < n && !ends_token(s[pos])) ++pos;
+    toks.emplace_back(s + start, pos - start);
   }
+  return n + 1;
 }
 
 struct GateDecl {
+  std::string_view name;
+  std::uint32_t name_hash;  // NameTable::hash(name), handed on to Netlist
   GateType type;
   std::size_t line;
   std::size_t first_fanin;  // into the parse's shared fanin list
@@ -44,11 +64,12 @@ Netlist parse_netlist(std::string_view text) {
   // Names are views into `text`, which outlives the parse.
   const std::size_t lines =
       static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
-  using Decls = std::unordered_map<std::string_view, GateDecl>;
-  Decls decls;  // net name -> definition
+  // Declarations in line order, and the name index over them.
+  std::vector<GateDecl> decls;
   decls.reserve(lines);
-  std::vector<Decls::value_type*> decl_order;
-  decl_order.reserve(lines);
+  NameTable decl_index;
+  decl_index.reserve(lines);
+  const auto name_of = [&](std::uint32_t d) { return decls[d].name; };
   // Every gate's fanin names, concatenated (GateDecl::first_fanin indexes it).
   std::vector<std::string_view> fanin_names;
   fanin_names.reserve(2 * lines);
@@ -61,21 +82,21 @@ Netlist parse_netlist(std::string_view text) {
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
+    pos = tokenize_line(text, pos, toks);
     ++line_no;
-    tokenize(line, toks);
     if (toks.empty()) continue;
     const std::string_view kw = toks[0];
 
-    auto declare = [&](std::string_view name, GateDecl decl) {
-      const auto [it, fresh] = decls.try_emplace(name, decl);
-      if (!fresh)
+    auto declare = [&](std::string_view name, GateType type,
+                       std::size_t first_fanin, std::size_t num_fanins) {
+      if (decls.size() >= NameTable::kNoId)
+        throw ParseError(line_no, "too many nets");
+      const std::uint32_t h = NameTable::hash(name);
+      const auto d = static_cast<std::uint32_t>(decls.size());
+      decls.push_back(GateDecl{name, h, type, line_no, first_fanin, num_fanins});
+      if (!decl_index.insert(name, h, d, name_of).second)
         throw ParseError(line_no,
                          "net '" + std::string(name) + "' defined twice");
-      decl_order.push_back(&*it);
     };
 
     if (kw == "module") {
@@ -85,7 +106,7 @@ Netlist parse_netlist(std::string_view text) {
       // no-op; single-module format
     } else if (kw == "input") {
       for (std::size_t i = 1; i < toks.size(); ++i)
-        declare(toks[i], GateDecl{GateType::kInput, line_no, 0, 0});
+        declare(toks[i], GateType::kInput, 0, 0);
     } else if (kw == "output") {
       if (toks.size() < 2) throw ParseError(line_no, "output expects net names");
       for (std::size_t i = 1; i < toks.size(); ++i)
@@ -108,10 +129,30 @@ Netlist parse_netlist(std::string_view text) {
         throw ParseError(line_no, std::string(kw) + " takes exactly one fanin");
       if (!source && !unary && arity < 2)
         throw ParseError(line_no, std::string(kw) + " takes at least two fanins");
-      declare(toks[1], GateDecl{*type, line_no, fanin_names.size(), arity});
+      declare(toks[1], *type, fanin_names.size(), arity);
       fanin_names.insert(fanin_names.end(), toks.begin() + 2, toks.end());
     } else {
       throw ParseError(line_no, "unknown directive '" + std::string(kw) + "'");
+    }
+  }
+  GFA_COUNT("netlist.parse_bytes", text.size());
+  GFA_COUNT("netlist.parse_nets", decls.size());
+
+  // Resolve every fanin name to its declaration, in text order. The names
+  // are hashed a few entries ahead and their table slots prefetched, so the
+  // random probes overlap instead of queueing one after another.
+  constexpr std::size_t kLookahead = 8;
+  std::vector<std::uint32_t> fanin_decls(fanin_names.size());
+  std::array<std::uint32_t, kLookahead> fanin_hashes{};
+  for (std::size_t i = 0; i < fanin_names.size() + kLookahead; ++i) {
+    std::uint32_t& h = fanin_hashes[i % kLookahead];
+    if (i >= kLookahead) {
+      const std::size_t j = i - kLookahead;
+      fanin_decls[j] = decl_index.find(fanin_names[j], h, name_of);
+    }
+    if (i < fanin_names.size()) {
+      h = NameTable::hash(fanin_names[i]);
+      decl_index.prefetch(h);
     }
   }
 
@@ -120,45 +161,42 @@ Netlist parse_netlist(std::string_view text) {
   // input — say a 100k-deep buf chain — must not overflow the call stack
   // (found by tools/fuzz_parser).
   Netlist netlist{std::string(module_name)};
-  netlist.reserve(decl_order.size());
-  // The declaration each fanin name resolves to, filled in by the DFS.
-  std::vector<const GateDecl*> fanin_decls(fanin_names.size());
+  netlist.reserve(decls.size());
   struct Frame {
-    Decls::value_type* entry;
+    std::uint32_t decl;
     std::size_t next_fanin = 0;
   };
   std::vector<Frame> stack;
-  auto open = [&](Decls::value_type& entry) {
-    GateDecl& d = entry.second;
+  auto open = [&](std::uint32_t di) {
+    GateDecl& d = decls[di];
     if (d.id != kNoNet) return;
     if (d.visiting)
       throw ParseError(d.line, "combinational cycle through '" +
-                                   std::string(entry.first) + "'");
+                                   std::string(d.name) + "'");
     d.visiting = true;
-    stack.push_back({&entry});
+    stack.push_back({di});
   };
   std::vector<NetId> fanins;
-  for (Decls::value_type* root : decl_order) {
-    open(*root);
+  for (std::uint32_t root = 0; root < decls.size(); ++root) {
+    open(root);
     while (!stack.empty()) {
       Frame& f = stack.back();
-      GateDecl& d = f.entry->second;
+      GateDecl& d = decls[f.decl];
       if (f.next_fanin < d.num_fanins) {
         const std::size_t slot = d.first_fanin + f.next_fanin++;
-        const auto dit = decls.find(fanin_names[slot]);
-        if (dit == decls.end())
+        const std::uint32_t di = fanin_decls[slot];
+        if (di == NameTable::kNoId)
           throw ParseError(0, "net '" + std::string(fanin_names[slot]) +
                                   "' used but never defined");
-        fanin_decls[slot] = &dit->second;
-        open(*dit);
+        open(di);
         continue;
       }
       fanins.clear();
       for (std::size_t i = 0; i < d.num_fanins; ++i)
-        fanins.push_back(fanin_decls[d.first_fanin + i]->id);
+        fanins.push_back(decls[fanin_decls[d.first_fanin + i]].id);
       d.id = d.type == GateType::kInput
-                 ? netlist.add_input(f.entry->first)
-                 : netlist.add_gate(d.type, fanins, f.entry->first);
+                 ? netlist.add_input(d.name, d.name_hash)
+                 : netlist.add_gate(d.type, fanins, d.name, d.name_hash);
       d.visiting = false;
       stack.pop_back();
     }

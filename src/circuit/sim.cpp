@@ -7,17 +7,6 @@ namespace gfa {
 
 namespace {
 
-/// True when every fanin carries a smaller NetId than its gate, so NetId
-/// order is itself a topological order. add_gate() guarantees this for
-/// generated and parsed netlists; only a gate rerouted through
-/// mutable_gate() can break it. One pass, no allocation.
-bool fanins_precede_gates(const Netlist& netlist) {
-  for (NetId n = 0; n < netlist.num_nets(); ++n)
-    for (NetId f : netlist.gate(n).fanins)
-      if (f >= n) return false;
-  return true;
-}
-
 void eval_gate(const Netlist::Gate& g, NetId n, std::uint64_t* value) {
   switch (g.type) {
     case GateType::kInput:
@@ -67,7 +56,7 @@ std::vector<std::uint64_t> simulate(const Netlist& netlist,
   for (std::size_t i = 0; i < netlist.inputs().size(); ++i)
     value[netlist.inputs()[i]] = input_lanes[i];
 
-  if (fanins_precede_gates(netlist)) {
+  if (netlist.fanins_precede_gates()) {
     for (NetId n = 0; n < netlist.num_nets(); ++n)
       eval_gate(netlist.gate(n), n, value.data());
   } else {

@@ -256,8 +256,8 @@ void Gf2kKernels::fold_in_place(std::uint64_t* buf, std::size_t nwords) const {
 
 Gf2Poly Gf2kKernels::mul_sparse(const Gf2Poly& a, const Gf2Poly& b) const {
   if (a.is_zero() || b.is_zero()) return {};
-  const std::vector<std::uint64_t>& aw = a.words();
-  const std::vector<std::uint64_t>& bw = b.words();
+  const std::span<const std::uint64_t> aw = a.words();
+  const std::span<const std::uint64_t> bw = b.words();
   std::uint64_t buf[kScratchWords] = {0};
   const std::size_t nw = aw.size() + bw.size() + 1;
   assert(nw <= kScratchWords);

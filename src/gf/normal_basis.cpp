@@ -86,8 +86,8 @@ Gf2Poly NormalBasis::to_coords(const Gf2k::Elem& a) const {
     const Gf2Poly dot = inverse_rows_[i];
     // Parity of the AND of the two bit vectors.
     int parity = 0;
-    const auto& aw = a.words();
-    const auto& dw = dot.words();
+    const auto aw = a.words();
+    const auto dw = dot.words();
     const std::size_t n = std::min(aw.size(), dw.size());
     for (std::size_t w = 0; w < n; ++w)
       parity ^= __builtin_parityll(aw[w] & dw[w]);

@@ -1,5 +1,6 @@
 #include "gf2/gf2_poly.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <utility>
@@ -10,19 +11,56 @@ namespace {
 constexpr unsigned kWordBits = 64;
 }  // namespace
 
+void Gf2Poly::reserve(std::size_t n) {
+  if (n <= cap_) return;
+  std::size_t cap = 2 * static_cast<std::size_t>(cap_);
+  if (cap < n) cap = n;
+  auto* buf = new std::uint64_t[cap];
+  std::copy(data(), data() + size_, buf);
+  if (spilled()) delete[] heap_;
+  heap_ = buf;
+  cap_ = static_cast<std::uint32_t>(cap);
+}
+
+void Gf2Poly::resize(std::size_t n) {
+  reserve(n);
+  if (n > size_) std::fill(data() + size_, data() + n, 0);
+  size_ = static_cast<std::uint32_t>(n);
+}
+
+void Gf2Poly::assign_zero(std::size_t n) {
+  size_ = 0;
+  resize(n);
+}
+
+void Gf2Poly::assign(const std::uint64_t* words, std::size_t n) {
+  size_ = 0;
+  reserve(n);
+  std::copy(words, words + n, data());
+  size_ = static_cast<std::uint32_t>(n);
+}
+
 void Gf2Poly::trim() {
-  while (!words_.empty() && words_.back() == 0) words_.pop_back();
+  const std::uint64_t* w = data();
+  while (size_ > 0 && w[size_ - 1] == 0) --size_;
+}
+
+bool Gf2Poly::operator==(const Gf2Poly& rhs) const {
+  return size_ == rhs.size_ && std::equal(data(), data() + size_, rhs.data());
 }
 
 Gf2Poly Gf2Poly::from_bits(std::uint64_t bits) {
   Gf2Poly p;
-  if (bits != 0) p.words_.push_back(bits);
+  if (bits != 0) {
+    p.inline_[0] = bits;
+    p.size_ = 1;
+  }
   return p;
 }
 
 Gf2Poly Gf2Poly::from_words(const std::uint64_t* words, std::size_t n) {
   Gf2Poly p;
-  p.words_.assign(words, words + n);
+  p.assign(words, n);
   p.trim();
   return p;
 }
@@ -46,26 +84,26 @@ Gf2Poly Gf2Poly::monomial(unsigned e) {
 }
 
 int Gf2Poly::degree() const {
-  if (words_.empty()) return -1;
-  const std::uint64_t top = words_.back();
-  return static_cast<int>((words_.size() - 1) * kWordBits +
+  if (size_ == 0) return -1;
+  const std::uint64_t top = data()[size_ - 1];
+  return static_cast<int>((size_ - 1) * kWordBits +
                           (kWordBits - 1 - std::countl_zero(top)));
 }
 
 bool Gf2Poly::coeff(unsigned i) const {
   const std::size_t w = i / kWordBits;
-  if (w >= words_.size()) return false;
-  return (words_[w] >> (i % kWordBits)) & 1u;
+  if (w >= size_) return false;
+  return (data()[w] >> (i % kWordBits)) & 1u;
 }
 
 void Gf2Poly::set_coeff(unsigned i, bool value) {
   const std::size_t w = i / kWordBits;
   if (value) {
-    if (w >= words_.size()) words_.resize(w + 1, 0);
-    words_[w] |= std::uint64_t{1} << (i % kWordBits);
+    if (w >= size_) resize(w + 1);
+    data()[w] |= std::uint64_t{1} << (i % kWordBits);
   } else {
-    if (w < words_.size()) {
-      words_[w] &= ~(std::uint64_t{1} << (i % kWordBits));
+    if (w < size_) {
+      data()[w] &= ~(std::uint64_t{1} << (i % kWordBits));
       trim();
     }
   }
@@ -73,7 +111,7 @@ void Gf2Poly::set_coeff(unsigned i, bool value) {
 
 int Gf2Poly::weight() const {
   int n = 0;
-  for (std::uint64_t w : words_) n += std::popcount(w);
+  for (std::uint64_t w : words()) n += std::popcount(w);
   return n;
 }
 
@@ -84,38 +122,44 @@ Gf2Poly Gf2Poly::operator+(const Gf2Poly& rhs) const {
 }
 
 Gf2Poly& Gf2Poly::operator+=(const Gf2Poly& rhs) {
-  if (rhs.words_.size() > words_.size()) words_.resize(rhs.words_.size(), 0);
-  for (std::size_t i = 0; i < rhs.words_.size(); ++i) words_[i] ^= rhs.words_[i];
+  if (rhs.size_ > size_) resize(rhs.size_);
+  std::uint64_t* w = data();
+  const std::uint64_t* r = rhs.data();
+  for (std::size_t i = 0; i < rhs.size_; ++i) w[i] ^= r[i];
   trim();
   return *this;
 }
 
-Gf2Poly Gf2Poly::shifted_up(unsigned n) const {
-  if (is_zero() || n == 0) {
-    Gf2Poly out = *this;
-    return out;
-  }
-  const unsigned word_shift = n / kWordBits;
+void Gf2Poly::add_shifted(const Gf2Poly& p, unsigned n) {
+  assert(&p != this);
+  if (p.is_zero()) return;
+  const std::size_t word_shift = n / kWordBits;
   const unsigned bit_shift = n % kWordBits;
-  Gf2Poly out;
-  out.words_.assign(words_.size() + word_shift + 1, 0);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    out.words_[i + word_shift] |= bit_shift ? (words_[i] << bit_shift) : words_[i];
-    if (bit_shift != 0)
-      out.words_[i + word_shift + 1] |= words_[i] >> (kWordBits - bit_shift);
+  const std::size_t need = p.size_ + word_shift + (bit_shift != 0);
+  if (need > size_) resize(need);
+  std::uint64_t* out = data() + word_shift;
+  const std::uint64_t* in = p.data();
+  for (std::size_t i = 0; i < p.size_; ++i) {
+    out[i] ^= in[i] << bit_shift;
+    if (bit_shift != 0) out[i + 1] ^= in[i] >> (kWordBits - bit_shift);
   }
-  out.trim();
+  trim();
+}
+
+Gf2Poly Gf2Poly::shifted_up(unsigned n) const {
+  Gf2Poly out;
+  out.add_shifted(*this, n);
   return out;
 }
 
 Gf2Poly Gf2Poly::operator*(const Gf2Poly& rhs) const {
   if (is_zero() || rhs.is_zero()) return {};
-  // Schoolbook carry-less multiply, word-by-word with 4-bit windowing on the
-  // left operand to amortize shifts.
-  const std::vector<std::uint64_t>& a = words_;
-  const std::vector<std::uint64_t>& b = rhs.words_;
+  // Schoolbook carry-less multiply, one set bit of the left operand at a
+  // time.
+  const std::span<const std::uint64_t> a = words(), b = rhs.words();
   Gf2Poly out;
-  out.words_.assign(a.size() + b.size(), 0);
+  out.assign_zero(a.size() + b.size());
+  std::uint64_t* o = out.data();
   for (std::size_t i = 0; i < a.size(); ++i) {
     std::uint64_t ai = a[i];
     while (ai != 0) {
@@ -124,8 +168,8 @@ Gf2Poly Gf2Poly::operator*(const Gf2Poly& rhs) const {
       // XOR b << (64*i + bit) into out.
       for (std::size_t j = 0; j < b.size(); ++j) {
         const std::uint64_t w = b[j];
-        out.words_[i + j] ^= bit ? (w << bit) : w;
-        if (bit != 0) out.words_[i + j + 1] ^= w >> (kWordBits - bit);
+        o[i + j] ^= w << bit;
+        if (bit != 0) o[i + j + 1] ^= w >> (kWordBits - bit);
       }
     }
   }
@@ -145,10 +189,12 @@ Gf2Poly Gf2Poly::squared() const {
     return x;
   };
   Gf2Poly out;
-  out.words_.assign(words_.size() * 2, 0);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    out.words_[2 * i] = spread32(static_cast<std::uint32_t>(words_[i]));
-    out.words_[2 * i + 1] = spread32(static_cast<std::uint32_t>(words_[i] >> 32));
+  out.assign_zero(2 * static_cast<std::size_t>(size_));
+  const std::uint64_t* in = data();
+  std::uint64_t* o = out.data();
+  for (std::size_t i = 0; i < size_; ++i) {
+    o[2 * i] = spread32(static_cast<std::uint32_t>(in[i]));
+    o[2 * i + 1] = spread32(static_cast<std::uint32_t>(in[i] >> 32));
   }
   out.trim();
   return out;
@@ -163,7 +209,7 @@ Gf2Poly::DivMod Gf2Poly::divmod(const Gf2Poly& divisor) const {
   while (rd >= dd) {
     const unsigned shift = static_cast<unsigned>(rd - dd);
     dm.quotient.set_coeff(shift, true);
-    dm.remainder += divisor.shifted_up(shift);
+    dm.remainder.add_shifted(divisor, shift);
     rd = dm.remainder.degree();
   }
   return dm;
@@ -175,7 +221,7 @@ Gf2Poly Gf2Poly::mod(const Gf2Poly& divisor) const {
   const int dd = divisor.degree();
   int rd = r.degree();
   while (rd >= dd) {
-    r += divisor.shifted_up(static_cast<unsigned>(rd - dd));
+    r.add_shifted(divisor, static_cast<unsigned>(rd - dd));
     rd = r.degree();
   }
   return r;
@@ -233,7 +279,7 @@ std::string Gf2Poly::to_string() const {
 std::size_t Gf2Poly::hash() const {
   // FNV-1a over the packed words.
   std::size_t h = 1469598103934665603ull;
-  for (std::uint64_t w : words_) {
+  for (std::uint64_t w : words()) {
     h ^= static_cast<std::size_t>(w);
     h *= 1099511628211ull;
   }

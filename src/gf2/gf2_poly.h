@@ -8,10 +8,17 @@
 //
 // The representation is canonical: the top word never carries bits above
 // degree(), and the zero polynomial has empty storage. All arithmetic keeps
-// this invariant, so operator== is a plain vector compare.
+// this invariant, so operator== is a plain word compare.
+//
+// Up to kInlineWords words (degree < 256, so every element of a field with
+// k <= 256) live inside the object; longer polynomials spill to one heap
+// buffer. Copying a k <= 256 field element therefore never allocates, and a
+// moved-from polynomial is zero.
 
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,8 +26,35 @@ namespace gfa {
 
 class Gf2Poly {
  public:
-  /// The zero polynomial.
-  Gf2Poly() = default;
+  /// Words held without a heap buffer.
+  static constexpr std::size_t kInlineWords = 4;
+
+  /// The zero polynomial. Its inline words start zeroed: copy_inline
+  /// copies all of them at once, used or not.
+  Gf2Poly() noexcept : inline_{} {}
+  Gf2Poly(const Gf2Poly& o) {
+    if (o.spilled())
+      assign(o.heap_, o.size_);
+    else
+      copy_inline(o);
+  }
+  Gf2Poly(Gf2Poly&& o) noexcept { take(o); }
+  Gf2Poly& operator=(const Gf2Poly& o) {
+    if (this == &o) return *this;
+    if (spilled() || o.spilled())
+      assign(o.data(), o.size_);
+    else
+      copy_inline(o);
+    return *this;
+  }
+  Gf2Poly& operator=(Gf2Poly&& o) noexcept {
+    if (this != &o) {
+      release();
+      take(o);
+    }
+    return *this;
+  }
+  ~Gf2Poly() { release(); }
 
   /// Polynomial whose coefficient bits are the bits of `bits` (bit i -> x^i).
   static Gf2Poly from_bits(std::uint64_t bits);
@@ -43,8 +77,8 @@ class Gf2Poly {
   /// Degree of the polynomial; -1 for the zero polynomial.
   int degree() const;
 
-  bool is_zero() const { return words_.empty(); }
-  bool is_one() const { return words_.size() == 1 && words_[0] == 1; }
+  bool is_zero() const { return size_ == 0; }
+  bool is_one() const { return size_ == 1 && data()[0] == 1; }
 
   /// Coefficient of x^i (0 or 1). Out-of-range exponents read as 0.
   bool coeff(unsigned i) const;
@@ -85,20 +119,70 @@ class Gf2Poly {
   /// (a * b) mod m, for m of degree >= 1.
   static Gf2Poly mulmod(const Gf2Poly& a, const Gf2Poly& b, const Gf2Poly& m);
 
-  bool operator==(const Gf2Poly& rhs) const = default;
+  bool operator==(const Gf2Poly& rhs) const;
 
   /// Human-readable form, e.g. "x^3 + x + 1"; "0" for the zero polynomial.
   std::string to_string() const;
 
   /// Raw packed words (bit i of word j is the coefficient of x^(64j+i)).
-  const std::vector<std::uint64_t>& words() const { return words_; }
+  std::span<const std::uint64_t> words() const { return {data(), size_}; }
+
+  /// Bytes of the heap buffer behind a spilled polynomial; 0 when inline.
+  std::size_t heap_bytes() const {
+    return spilled() ? cap_ * sizeof(std::uint64_t) : 0;
+  }
 
   /// Hash suitable for unordered containers.
   std::size_t hash() const;
 
  private:
+  bool spilled() const { return cap_ > kInlineWords; }
+  const std::uint64_t* data() const { return spilled() ? heap_ : inline_; }
+  std::uint64_t* data() { return spilled() ? heap_ : inline_; }
+
+  /// Storage for at least n words; the first size_ words survive.
+  void reserve(std::size_t n);
+  /// n words: the first min(size_, n) kept, any new ones zero.
+  void resize(std::size_t n);
+  /// Exactly n zero words.
+  void assign_zero(std::size_t n);
+  /// A copy of words[0, n) (not trimmed).
+  void assign(const std::uint64_t* words, std::size_t n);
+  /// All inline words at once (a fixed-size copy); neither side spilled.
+  void copy_inline(const Gf2Poly& o) noexcept {
+    std::memcpy(inline_, o.inline_, sizeof(inline_));
+    size_ = o.size_;
+  }
+  /// Takes o's words and leaves o zero; *this must hold no heap buffer.
+  void take(Gf2Poly& o) noexcept {
+    if (o.spilled()) {
+      heap_ = o.heap_;
+      cap_ = o.cap_;
+      size_ = o.size_;
+      o.cap_ = kInlineWords;
+    } else {
+      copy_inline(o);
+    }
+    o.size_ = 0;
+  }
+  /// Frees any heap buffer; *this becomes zero.
+  void release() noexcept {
+    if (spilled()) {
+      delete[] heap_;
+      cap_ = kInlineWords;
+    }
+    size_ = 0;
+  }
+  /// this += p·x^n, growing as needed (p must not alias *this).
+  void add_shifted(const Gf2Poly& p, unsigned n);
   void trim();
-  std::vector<std::uint64_t> words_;
+
+  std::uint32_t size_ = 0;             // words in use
+  std::uint32_t cap_ = kInlineWords;   // > kInlineWords iff heap_ is live
+  union {
+    std::uint64_t inline_[kInlineWords];
+    std::uint64_t* heap_;
+  };
 };
 
 struct Gf2Poly::DivMod {

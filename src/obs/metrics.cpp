@@ -41,6 +41,13 @@ constexpr KnownMetric kKnownMetrics[] = {
     {"buchberger.pairs_reduced", MetricKind::kCounter},
     {"buchberger.basis_added", MetricKind::kCounter},
     {"buchberger.max_poly_terms", MetricKind::kGauge},
+    // Netlist text read by the parser (circuit/parser.cpp), wherever it is
+    // called from: gfa_tool, the service and forked workers alike.
+    {"netlist.parse_bytes", MetricKind::kCounter},
+    {"netlist.parse_nets", MetricKind::kCounter},
+    // RATO (abstraction/rato.cpp): reverse-topological levels of the deepest
+    // netlist ordered.
+    {"rato.levels", MetricKind::kGauge},
     // Extractor (abstraction/extractor.cpp)
     {"extract.words", MetricKind::kCounter},
     {"extract.substitutions", MetricKind::kCounter},

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -633,13 +634,16 @@ engine::EngineRun run_isolated_with_retry(WorkerRequest request,
   // hang) still reports the most recent tail from an earlier crashed fork.
   if (!run.status.ok() && run.flight_events.empty())
     run.flight_events = std::move(last_flight);
-  // With retries in play the crash/retry history is the interesting attempt
-  // story; a single clean attempt keeps whatever the engine itself reported
-  // (e.g. portfolio attempts from inside the worker). A single *failed*
-  // attempt has no engine-side story to preserve — record it, so a crash
-  // report always carries the attempt's telemetry triple.
-  if (history.size() > 1 || (!run.status.ok() && run.attempts.empty()))
+  // With retries in play the report carries the fork history first, then
+  // whatever the final fork's engine reported itself (e.g. the portfolio's
+  // attempts). A single clean attempt keeps the engine's story alone. A
+  // single *failed* attempt has no engine-side story to preserve — record
+  // it, so a crash report always carries the attempt's telemetry triple.
+  if (history.size() > 1 || (!run.status.ok() && run.attempts.empty())) {
+    history.insert(history.end(), std::make_move_iterator(run.attempts.begin()),
+                   std::make_move_iterator(run.attempts.end()));
     run.attempts = std::move(history);
+  }
   return run;
 }
 

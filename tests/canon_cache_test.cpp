@@ -54,7 +54,7 @@ TEST(CanonSerial, HexCodecRoundTrips) {
     EXPECT_EQ(*back, words) << hex;
   }
   EXPECT_EQ(hex_of_words({}), "0");
-  EXPECT_EQ(hex_of_words({0x1a2b}), "1a2b");
+  EXPECT_EQ(hex_of_words(std::vector<std::uint64_t>{0x1a2b}), "1a2b");
 }
 
 TEST(CanonSerial, HexCodecRejectsGarbage) {

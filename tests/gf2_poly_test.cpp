@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "rabin_oracle.h"
 #include "test_util.h"
 
@@ -152,6 +156,137 @@ TEST(Gf2Poly, HashDistinguishesAndAgrees) {
   EXPECT_EQ(a.hash(), b.hash());
   EXPECT_NE(a.hash(), Gf2Poly::from_bits(0b1010).hash());
 }
+
+// Inline (<= 4 words) and heap-backed polynomials against plain word-vector
+// arithmetic, at sizes on both sides of the boundary: degree < k operands,
+// and products of up to 2k bits.
+using Words = std::vector<std::uint64_t>;
+
+Words trimmed(Words w) {
+  while (!w.empty() && w.back() == 0) w.pop_back();
+  return w;
+}
+
+Words words_of(const Gf2Poly& p) { return Words(p.words().begin(), p.words().end()); }
+
+bool bit(const Words& w, std::size_t i) {
+  return i / 64 < w.size() && ((w[i / 64] >> (i % 64)) & 1u);
+}
+
+void flip(Words& w, std::size_t i) {
+  if (i / 64 >= w.size()) w.resize(i / 64 + 1, 0);
+  w[i / 64] ^= std::uint64_t{1} << (i % 64);
+}
+
+Words ref_add(Words a, const Words& b) {
+  if (b.size() > a.size()) a.resize(b.size(), 0);
+  for (std::size_t i = 0; i < b.size(); ++i) a[i] ^= b[i];
+  return trimmed(a);
+}
+
+Words ref_mul(const Words& a, const Words& b) {
+  Words out;
+  for (std::size_t i = 0; i < 64 * a.size(); ++i)
+    if (bit(a, i))
+      for (std::size_t j = 0; j < 64 * b.size(); ++j)
+        if (bit(b, j)) flip(out, i + j);
+  return trimmed(out);
+}
+
+Words ref_mod(Words a, const Words& m) {
+  std::size_t dm = 64 * m.size() - 1;
+  while (!bit(m, dm)) --dm;
+  for (std::size_t i = 64 * a.size(); i-- > dm;)
+    if (bit(a, i))
+      for (std::size_t j = 0; j <= dm; ++j)
+        if (bit(m, j)) flip(a, i - dm + j);
+  return trimmed(a);
+}
+
+/// A random polynomial of degree exactly `bits` - 1.
+Words random_words(test::Rng& rng, unsigned bits) {
+  Words w((bits + 63) / 64);
+  for (std::uint64_t& x : w) x = rng.next();
+  if (bits % 64) w.back() &= (std::uint64_t{1} << (bits % 64)) - 1;
+  w.back() |= std::uint64_t{1} << ((bits - 1) % 64);
+  return w;
+}
+
+Gf2Poly poly_of(const Words& w) { return Gf2Poly::from_words(w.data(), w.size()); }
+
+class Gf2PolyStorage : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(Gf2PolyStorage, CopyMoveAndAssignAcrossTheInlineBoundary) {
+  const unsigned k = GetParam();
+  test::Rng rng(k);
+  const Words wa = random_words(rng, k);
+  const Gf2Poly a = poly_of(wa);
+  EXPECT_EQ(words_of(a), wa);
+  EXPECT_EQ(a.heap_bytes() == 0, wa.size() <= Gf2Poly::kInlineWords);
+
+  Gf2Poly copy(a);
+  EXPECT_EQ(copy, a);
+  EXPECT_EQ(words_of(copy), wa);
+  // Copy-assign into an inline target and into a heap-backed one.
+  for (Gf2Poly target : {Gf2Poly::one(), Gf2Poly::monomial(700)}) {
+    target = a;
+    EXPECT_EQ(words_of(target), wa);
+  }
+  // Self-assignment keeps the value.
+  Gf2Poly self = a;
+  const Gf2Poly& alias = self;
+  self = alias;
+  EXPECT_EQ(words_of(self), wa);
+
+  Gf2Poly moved(std::move(copy));
+  EXPECT_EQ(words_of(moved), wa);
+  EXPECT_TRUE(copy.is_zero());
+  EXPECT_TRUE(copy.words().empty());
+  EXPECT_EQ(copy.heap_bytes(), 0u);
+  for (Gf2Poly target : {Gf2Poly::one(), Gf2Poly::monomial(700)}) {
+    Gf2Poly source = a;
+    target = std::move(source);
+    EXPECT_EQ(words_of(target), wa);
+    EXPECT_TRUE(source.is_zero());
+    // A moved-from value is zero and fully usable.
+    source += a;
+    EXPECT_EQ(source, a);
+  }
+}
+
+TEST_P(Gf2PolyStorage, ArithmeticMatchesWordVectorArithmetic) {
+  const unsigned k = GetParam();
+  test::Rng rng(1000 + k);
+  Words wm = random_words(rng, k + 1);
+  wm[0] |= 1;
+  const Gf2Poly m = poly_of(wm);
+  for (int trial = 0; trial < 8; ++trial) {
+    const Words wa = random_words(rng, k - trial);
+    const Words wb = random_words(rng, k);
+    const Gf2Poly a = poly_of(wa), b = poly_of(wb);
+
+    Gf2Poly sum = a;
+    sum += b;
+    EXPECT_EQ(words_of(sum), ref_add(wa, wb));
+    EXPECT_EQ(words_of(a + b), ref_add(wa, wb));
+    Gf2Poly twice = a;
+    twice += twice;  // char 2
+    EXPECT_TRUE(twice.is_zero());
+
+    const Words wp = ref_mul(wa, wb);
+    const Gf2Poly product = a * b;
+    EXPECT_EQ(words_of(product), wp);
+    EXPECT_EQ(words_of(product.mod(m)), ref_mod(wp, wm));
+    EXPECT_EQ(words_of(Gf2Poly::mulmod(a, b, m)), ref_mod(wp, wm));
+    const Gf2Poly::DivMod dm = product.divmod(m);
+    EXPECT_EQ(words_of(dm.remainder), ref_mod(wp, wm));
+    EXPECT_EQ(dm.quotient * m + dm.remainder, product);
+    EXPECT_EQ(words_of(a.squared()), ref_mul(wa, wa));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndHeap, Gf2PolyStorage,
+                         ::testing::Values(64u, 128u, 256u, 257u, 571u));
 
 }  // namespace
 }  // namespace gfa

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "abstraction/bitpoly.h"
+#include "abstraction/rato.h"
 #include "abstraction/word_lift.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
@@ -95,9 +96,32 @@ TEST_F(ObsTest, KnownMetricSchemaIsPreRegistered) {
         "bdd.cache_hits",
         "fraig.merges", "parallel.items", "verify.sim_refutations",
         "worker.reap_signals", "gf.irreducibility_tests", "certify.runs",
-        "certify.points", "witness.backfills"}) {
+        "certify.points", "witness.backfills", "netlist.parse_bytes",
+        "netlist.parse_nets", "rato.levels"}) {
     EXPECT_TRUE(snap.count(name)) << "missing pre-registered metric " << name;
   }
+}
+
+// Ingest work counts come from the library, so every caller of the parser
+// (gfa_tool, the service, forked workers) reports them.
+TEST_F(ObsTest, ParseAndRatoCountTheirWork) {
+  set_metrics_enabled(true);
+  Metrics::instance().reset_all();
+  const std::string text =
+      "input a b\nxor z t a   # gates in any order\nand t a b\noutput z\n";
+  const Netlist nl = parse_netlist(text);
+  auto value = [](const char* name) {
+    return Metrics::instance().counter(name).value();
+  };
+  EXPECT_EQ(value("netlist.parse_bytes"), text.size());
+  EXPECT_EQ(value("netlist.parse_nets"), 4u);
+  // z is level 0, t level 1, a and b level 2: three levels.
+  (void)rato_net_order(nl);
+  EXPECT_EQ(Metrics::instance().gauge("rato.levels").value(), 3u);
+  // A gauge keeps the deepest netlist ordered.
+  (void)rato_net_order(parse_netlist("input a\nnot z a\noutput z\n"));
+  EXPECT_EQ(Metrics::instance().gauge("rato.levels").value(), 3u);
+  EXPECT_EQ(value("netlist.parse_nets"), 6u);
 }
 
 TEST_F(ObsTest, FieldBuildIsOneSpanAndCountsItsCandidates) {

@@ -523,6 +523,30 @@ TEST(WorkerHarness, RetryRecoversFromAnInjectedCrash) {
   EXPECT_TRUE(run.attempts[1].status.ok());
 }
 
+TEST(WorkerHarness, RetriedPortfolioKeepsForksAndEngineAttempts) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
+  Disarmer disarm;
+  Instance inst = make_instance(8);
+  inst.req.engine = "portfolio";
+  ASSERT_TRUE(fault::arm("worker:crash", 1).ok());
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.backoff_seconds = 0.01;
+  const engine::EngineRun run = run_isolated_with_retry(inst.req, policy);
+  ASSERT_TRUE(run.status.ok()) << run.status.to_string();
+  EXPECT_EQ(run.verdict, engine::Verdict::kEquivalent);
+  // The two fork records, then the final fork's portfolio attempts.
+  ASSERT_EQ(run.attempts.size(), 5u);
+  EXPECT_EQ(run.attempts[0].engine, "portfolio");
+  EXPECT_EQ(run.attempts[0].status.code(), StatusCode::kWorkerCrashed);
+  EXPECT_EQ(run.attempts[1].engine, "portfolio");
+  EXPECT_TRUE(run.attempts[1].status.ok());
+  EXPECT_EQ(run.attempts[2].engine, "abstraction");
+  EXPECT_EQ(run.attempts[2].verdict, engine::Verdict::kEquivalent);
+  EXPECT_EQ(run.attempts[3].engine, "ideal-membership");
+  EXPECT_EQ(run.attempts[4].engine, "sat");
+}
+
 TEST(WorkerHarness, CrashWithoutRetriesStaysFailed) {
   if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;

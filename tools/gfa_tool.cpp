@@ -43,9 +43,12 @@
 //                                  74 cancelled
 //                                  75 deadline (--timeout) exceeded
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "abstraction/extractor.h"
@@ -134,6 +137,15 @@ std::vector<std::string> split_names(std::string_view list) {
   }
   return names;
 }
+
+/// The flags that take a value; `assign` below handles each of them.
+constexpr std::string_view kValueFlags[] = {
+    "--engine",          "--engines",          "--timeout",
+    "--report",          "--trace",            "--log-level",
+    "--memory-budget",   "--attempt-timeout",  "--portfolio-engines",
+    "--inject",          "--retries",          "--retry-backoff",
+    "--retry-budget-escalation", "--heartbeat-interval",
+    "--stall-timeout",   "--threads"};
 
 Result<Flags> parse_flags(int argc, char** argv) {
   Flags flags;
@@ -226,9 +238,14 @@ Result<Flags> parse_flags(int argc, char** argv) {
       continue;
     }
     const std::size_t eq = arg.find('=');
+    const std::string_view name = arg.substr(0, eq);
+    if (std::find(std::begin(kValueFlags), std::end(kValueFlags), name) ==
+        std::end(kValueFlags))
+      return Status::invalid_argument("unknown flag '" + std::string(name) +
+                                      "'");
     Status s;
     if (eq != std::string_view::npos) {
-      s = assign(arg.substr(0, eq), arg.substr(eq + 1));
+      s = assign(name, arg.substr(eq + 1));
     } else if (i + 1 < argc) {
       s = assign(arg, argv[++i]);
     } else {
