@@ -607,10 +607,7 @@ JobResponse Server::run_verify(const JobRequest& req) {
   resp.verdict = run.verdict;
   resp.detail = run.detail;
   resp.counterexample = run.counterexample;
-  resp.stats = run.stats;
-  if (run.stats.find("worker_attempts") == run.stats.end() &&
-      !run.attempts.empty())
-    resp.stats["worker_attempts"] = static_cast<double>(run.attempts.size());
+  resp.stats = run.stats;  // includes run_isolated_with_retry's worker_attempts
   if (cacheable) resp.cache = "miss";
   if (have_keys && run.status.ok() && !run.canonical_spec.empty() &&
       !run.canonical_impl.empty()) {

@@ -1,9 +1,7 @@
 #include "util/parallel_for.h"
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -18,25 +16,17 @@ namespace gfa {
 
 namespace {
 
-/// Set while the current thread is executing pool work (or a loop body on the
-/// caller's side); nested parallel_for calls then run serially.
+/// Set while the current thread runs a loop body (as caller or helper);
+/// nested parallel_for calls then run serially.
 thread_local bool tls_in_parallel = false;
 
-/// set_parallel_thread_count() target. Non-zero beats GFA_THREADS so a
-/// --threads flag parsed before the pool's first use takes effect without
-/// spawning (and immediately joining) a throwaway set of workers.
-std::atomic<unsigned> g_thread_override{0};
-/// True once the pool singleton exists; lets set_parallel_thread_count()
-/// avoid constructing it eagerly (a tool that forks isolated workers should
-/// not carry a pre-fork thread pool into its children).
-std::atomic<bool> g_pool_live{false};
+/// Loop width; 0 until the first loop or set_parallel_thread_count() fixes it.
+std::atomic<unsigned> g_width{0};
+/// Held by the one top-level loop that has helpers; a second concurrent
+/// caller finds it set and runs serially.
+std::atomic<bool> g_busy{false};
 
 unsigned decide_thread_count() {
-  if (const unsigned n = g_thread_override.load(std::memory_order_relaxed)) {
-    GFA_LOG_DEBUG("parallel_for",
-                  "thread pool size " << n << " (set_parallel_thread_count)");
-    return n;
-  }
   if (const char* env = std::getenv("GFA_THREADS")) {
     const Result<unsigned> v = parse_unsigned(env, 1, 1024);
     if (!v.ok()) {
@@ -45,25 +35,45 @@ unsigned decide_thread_count() {
                         << env << "' (" << v.status().to_string() << ")");
       std::exit(2);
     }
-    GFA_LOG_DEBUG("parallel_for", "thread pool size " << *v
-                                      << " (from GFA_THREADS)");
+    GFA_LOG_DEBUG("parallel_for", "loop width " << *v << " (from GFA_THREADS)");
     return *v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned n = hw >= 1 ? hw : 1;
-  GFA_LOG_DEBUG("parallel_for",
-                "thread pool size " << n << " (hardware default)");
+  GFA_LOG_DEBUG("parallel_for", "loop width " << n << " (hardware default)");
   return n;
 }
 
-/// One loop in flight at a time; workers claim chunks off an atomic cursor.
+unsigned width() {
+  unsigned n = g_width.load(std::memory_order_relaxed);
+  if (n != 0) return n;
+  n = decide_thread_count();
+  unsigned unset = 0;
+  // A concurrent set_parallel_thread_count() wins over the default.
+  return g_width.compare_exchange_strong(unset, n, std::memory_order_relaxed)
+             ? n
+             : unset;
+}
+
+/// Marks the calling thread as inside a loop for the guard's lifetime.
+class InLoop {
+ public:
+  InLoop() : was_(tls_in_parallel) { tls_in_parallel = true; }
+  ~InLoop() { tls_in_parallel = was_; }
+  InLoop(const InLoop&) = delete;
+  InLoop& operator=(const InLoop&) = delete;
+
+ private:
+  bool was_;
+};
+
+/// One loop; the caller and its helpers claim chunks off an atomic cursor.
 struct Job {
   const std::function<void(std::size_t)>* fn = nullptr;
   const ExecControl* control = nullptr;
   std::size_t n = 0;
   std::size_t chunk = 1;
   std::atomic<std::size_t> next{0};
-  std::atomic<unsigned> active{0};  // workers currently inside the loop body
   // Failure propagation is first-error-BY-INDEX, not by wall-clock, so a
   // run that fails is reproducible across thread schedules (fault-injection
   // sweeps depend on this). Chunks are claimed off the monotonic cursor, so
@@ -97,7 +107,7 @@ struct Job {
         next.store(n, std::memory_order_relaxed);  // drain remaining chunks
       }
     }
-    // Worker-vs-caller chunk counts give a crude pool-utilization signal.
+    // Helper-vs-caller chunk counts give a crude utilization signal.
     if (chunks_done > 0) {
       if (is_worker)
         GFA_COUNT("parallel.worker_chunks", chunks_done);
@@ -107,171 +117,86 @@ struct Job {
   }
 };
 
-class Pool {
- public:
-  static Pool& instance() {
-    static Pool pool;
-    return pool;
-  }
-
-  unsigned thread_count() const {
-    return size_.load(std::memory_order_relaxed);
-  }
-
-  /// Joins the current workers and respawns `n - 1` of them. Serialized
-  /// against pooled loops via run_mutex, so no worker is mid-chunk when the
-  /// join happens.
-  void resize(unsigned n) {
-    std::lock_guard<std::mutex> run_lock(run_mutex);
-    if (n == thread_count()) return;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
+/// Runs the loop on the caller plus `helpers` threads started for it alone.
+/// The caller holds g_busy; it is cleared after every helper has joined.
+void run_with_helpers(std::size_t n, unsigned helpers,
+                      const std::function<void(std::size_t)>& fn,
+                      const ExecControl* control) {
+  struct Release {
+    ~Release() { g_busy.store(false, std::memory_order_release); }
+  } release;
+  Job job;
+  job.fn = &fn;
+  job.control = control;
+  job.n = n;
+  job.chunk = n / ((helpers + 1) * 8) + 1;
+  {
+    const InLoop mark;
+    std::vector<std::jthread> threads;  // joined at scope exit
+    try {
+      threads.reserve(helpers);
+      for (unsigned t = 0; t < helpers; ++t)
+        threads.emplace_back([&job] {
+          tls_in_parallel = true;
+          job.work(/*is_worker=*/true);
+        });
+    } catch (const std::exception& e) {
+      // Chunks are claimed, not assigned: the threads that did start (the
+      // caller at least) finish the loop.
+      GFA_LOG_WARN("parallel_for", "started " << threads.size() << " of "
+                                               << helpers << " helpers: "
+                                               << e.what());
     }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-    threads_.clear();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = false;
-      size_.store(n, std::memory_order_relaxed);
-    }
-    for (unsigned i = 0; i + 1 < n; ++i)
-      threads_.emplace_back([this] { worker(); });
-  }
-
-  void run(std::size_t n, const std::function<void(std::size_t)>& fn,
-           const ExecControl* control) {
-    Job job;
-    job.fn = &fn;
-    job.control = control;
-    job.n = n;
-    job.chunk = n / (thread_count() * 8) + 1;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job_ = &job;
-      ++generation_;
-    }
-    cv_.notify_all();
     job.work(/*is_worker=*/false);  // the caller participates
-    {
-      // Wait for workers still inside a claimed chunk.
-      std::unique_lock<std::mutex> lock(mutex_);
-      job_ = nullptr;
-      done_cv_.wait(lock, [&] { return job.active.load() == 0; });
-    }
-    if (job.error) {
-      if (job.error_count > 1)
-        GFA_COUNT("parallel.suppressed_errors", job.error_count - 1);
-      std::rethrow_exception(job.error);
-    }
   }
-
-  /// Serializes top-level loops; a second concurrent caller runs serially.
-  std::mutex run_mutex;
-
- private:
-  Pool() {
-    const unsigned n = decide_thread_count();
-    size_.store(n, std::memory_order_relaxed);
-    for (unsigned i = 0; i + 1 < n; ++i)
-      threads_.emplace_back([this] { worker(); });
-    g_pool_live.store(true, std::memory_order_release);
+  if (job.error) {
+    if (job.error_count > 1)
+      GFA_COUNT("parallel.suppressed_errors", job.error_count - 1);
+    std::rethrow_exception(job.error);
   }
-
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  void worker() {
-    tls_in_parallel = true;
-    std::uint64_t seen = 0;
-    for (;;) {
-      Job* job = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [&] { return stop_ || (job_ != nullptr && generation_ != seen); });
-        if (stop_) return;
-        seen = generation_;
-        job = job_;
-        job->active.fetch_add(1);
-      }
-      job->work(/*is_worker=*/true);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job->active.fetch_sub(1);
-      }
-      done_cv_.notify_all();
-    }
-  }
-
-  std::vector<std::thread> threads_;
-  std::atomic<unsigned> size_{1};  // threads_.size() + 1; lock-free readers
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  Job* job_ = nullptr;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-};
+}
 
 }  // namespace
 
-unsigned parallel_thread_count() { return Pool::instance().thread_count(); }
+unsigned parallel_thread_count() { return width(); }
 
 void set_parallel_thread_count(unsigned n) {
   if (n < 1) n = 1;
   if (n > 1024) n = 1024;
-  g_thread_override.store(n, std::memory_order_relaxed);
-  // Only resize a pool that already exists; otherwise the override is picked
-  // up at first use (keeps pre-fork tools thread-free until they need loops).
-  if (g_pool_live.load(std::memory_order_acquire)) Pool::instance().resize(n);
+  g_width.store(n, std::memory_order_relaxed);
 }
 
 unsigned parallel_available_width() {
   if (tls_in_parallel) return 1;
-  return Pool::instance().thread_count();
+  return width();
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   const ExecControl* control) {
   if (n == 0) return;
-  Pool& pool = Pool::instance();
-  const bool serial = n == 1 || tls_in_parallel || pool.thread_count() == 1 ||
-                      !pool.run_mutex.try_lock();
   GFA_COUNT("parallel.items", n);
-  if (serial) {
+  if (n == 1) {
+    // One item needs no helpers, and loops nested in it keep their width.
     GFA_COUNT("parallel.serial_loops", 1);
-    const bool was = tls_in_parallel;
-    tls_in_parallel = true;
-    try {
-      for (std::size_t i = 0; i < n; ++i) {
-        throw_if_stopped(control);
-        fn(i);
-      }
-    } catch (...) {
-      tls_in_parallel = was;
-      throw;
-    }
-    tls_in_parallel = was;
+    throw_if_stopped(control);
+    fn(0);
     return;
   }
-  GFA_COUNT("parallel.loops", 1);
-  std::lock_guard<std::mutex> lock(pool.run_mutex, std::adopt_lock);
-  const bool was = tls_in_parallel;
-  tls_in_parallel = true;
-  try {
-    pool.run(n, fn, control);
-  } catch (...) {
-    tls_in_parallel = was;
-    throw;
+  const unsigned w = tls_in_parallel ? 1 : width();
+  bool idle = false;
+  if (w > 1 && g_busy.compare_exchange_strong(idle, true,
+                                              std::memory_order_acquire)) {
+    GFA_COUNT("parallel.loops", 1);
+    run_with_helpers(n, static_cast<unsigned>(std::min<std::size_t>(w, n)) - 1,
+                     fn, control);
+    return;
   }
-  tls_in_parallel = was;
+  GFA_COUNT("parallel.serial_loops", 1);
+  const InLoop mark;
+  for (std::size_t i = 0; i < n; ++i) {
+    throw_if_stopped(control);
+    fn(i);
+  }
 }
 
 }  // namespace gfa

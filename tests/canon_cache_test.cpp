@@ -204,6 +204,7 @@ TEST(CanonCache, MissThenHit) {
 }
 
 TEST(CanonCache, InjectedCorruptionIsAMissNeverAWrongPayload) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
   service::CanonCache cache({"", 1 << 20});
   ASSERT_TRUE(cache.open().ok());

@@ -152,6 +152,7 @@ TEST(Certify, RealBugFailsTheCrossCheck) {
 }
 
 TEST(Certify, InjectedMismatchFailsLoudlyWithFlightDump) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
   const Gf2k field = Gf2k::make(8);
   const Netlist spec = make_mastrovito_multiplier(field);
@@ -192,6 +193,7 @@ TEST(Certify, StatusCodeMapsToExit73AndRoundTrips) {
 }
 
 TEST(Certify, CertifyOffLeavesEquivalentRunsUntouched) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
   const Gf2k field = Gf2k::make(8);
   const Netlist spec = make_mastrovito_multiplier(field);

@@ -144,7 +144,7 @@ TEST_F(ObsTest, FieldBuildIsOneSpanAndCountsItsCandidates) {
   ASSERT_EQ(events.size(), 2u);
   for (const auto& e : events) {
     EXPECT_EQ(e.name, "field_build");
-    EXPECT_EQ(e.category, "gf");
+    EXPECT_STREQ(e.category, "gf");
   }
 }
 
@@ -274,7 +274,7 @@ TEST_F(ObsTest, TraceSpanRecordsOnlyWhenEnabled) {
   const auto events = Tracer::instance().events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "visible");
-  EXPECT_EQ(events[0].category, "test");
+  EXPECT_STREQ(events[0].category, "test");
 }
 
 TEST_F(ObsTest, ChromeTraceOutputIsWellFormed) {

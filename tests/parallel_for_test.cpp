@@ -1,5 +1,5 @@
-// Tests for the shared thread pool (util/parallel_for.h): completeness,
-// nesting, exception propagation, and live resizing.
+// Tests for parallel_for (util/parallel_for.h): completeness, nesting,
+// exception propagation, and width changes between loops.
 
 #include <gtest/gtest.h>
 
@@ -46,7 +46,7 @@ TEST(ParallelFor, PropagatesFirstException) {
                      if (i == 37) throw std::runtime_error("boom");
                    }),
       std::runtime_error);
-  // The pool must stay usable after a failed loop.
+  // The next loop must run normally after a failed one.
   std::atomic<int> count{0};
   parallel_for(50, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 50);
@@ -61,7 +61,7 @@ TEST(ParallelFor, SetThreadCountResizesLivePool) {
   for (unsigned target : {1u, 3u, 8u, before}) {
     set_parallel_thread_count(target);
     EXPECT_EQ(parallel_thread_count(), target);
-    // The resized pool still runs every index exactly once.
+    // A loop at the new width still runs every index exactly once.
     const std::size_t n = 1000;
     std::vector<std::atomic<int>> hits(n);
     parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
@@ -89,6 +89,18 @@ TEST(ParallelFor, AvailableWidthIsOneInsideLoops) {
   EXPECT_EQ(inner_width.load(), 1u);
   set_parallel_thread_count(1);
   EXPECT_EQ(parallel_available_width(), 1u);
+  set_parallel_thread_count(before);
+}
+
+// A one-item loop runs inline without marking the thread, so the loops
+// nested in it (the lift's row loops under a single output word) keep the
+// full width.
+TEST(ParallelFor, OneItemLoopLeavesNestedLoopsTheirWidth) {
+  const unsigned before = parallel_thread_count();
+  set_parallel_thread_count(4);
+  unsigned inner_width = 0;
+  parallel_for(1, [&](std::size_t) { inner_width = parallel_available_width(); });
+  EXPECT_EQ(inner_width, 4u);
   set_parallel_thread_count(before);
 }
 

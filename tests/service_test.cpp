@@ -324,6 +324,7 @@ TEST(Service, StatusReportsPoolQueueAndCache) {
 // Admission control.
 
 TEST(Service, QueueFullAnswersOverloadedImmediately) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
   const Instance inst = make_instance(4);
   const std::string path = temp_dir() + "/gfa.sock";
@@ -424,6 +425,7 @@ TEST(Service, DrainFinishesInFlightJobsAndRefusesLateConnects) {
 // Crash containment.
 
 TEST(Service, WorkerCrashIsContainedAndServerKeepsServing) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
   const Instance inst = make_instance(4);
   const std::string path = temp_dir() + "/gfa.sock";
@@ -461,6 +463,7 @@ TEST(Service, WorkerCrashIsContainedAndServerKeepsServing) {
 // Poison-job quarantine.
 
 TEST(Service, QuarantinedJobFastFailsWithoutForkingUntilCleared) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
   const Instance inst = make_instance(4);
   const std::string path = temp_dir() + "/gfa.sock";
@@ -540,6 +543,7 @@ TEST(Service, QuarantinedJobFastFailsWithoutForkingUntilCleared) {
 }
 
 TEST(Service, QuarantineTtlForgivesOldStrikes) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
   const Instance inst = make_instance(4);
   const std::string path = temp_dir() + "/gfa.sock";
@@ -582,6 +586,7 @@ struct SoakResult {
 };
 
 TEST(Service, SoakConcurrentClientsWithInjectedFaults) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "GFA_FAULT_INJECTION is off";
   Disarmer disarm;
   const Instance small = make_instance(4);
   const Instance medium = make_instance(8);

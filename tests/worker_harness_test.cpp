@@ -2,16 +2,19 @@
 // frame protocol and its JSON codecs, supervised forked runs, termination
 // classification (clean exit, injected crash, real SIGKILL, hang past the
 // wall clock), retry-with-backoff, and the portfolio's certify-once and
-// counterexample rules, in-process and as a whole forked run alike. The CI
-// job runs this under ASan+UBSan: every fork/kill path must stay clean.
+// counterexample rules, in-process and as a whole forked run alike, and
+// parallel loops in forked children. The CI job runs this under ASan+UBSan:
+// every fork/kill path must stay clean.
 
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +28,7 @@
 #include "engine/registry.h"
 #include "obs/metrics.h"
 #include "util/fault_inject.h"
+#include "util/parallel_for.h"
 #include "worker/harness.h"
 #include "worker/protocol.h"
 #include "worker/retry.h"
@@ -658,6 +662,40 @@ TEST(WorkerHarness, ChildTraceEventsMergeOntoTheParentTimeline) {
   }
   EXPECT_TRUE(parent_event);
   EXPECT_TRUE(child_event);
+}
+
+// A forked worker inherits the parent's memory but none of its threads. A
+// parallel_for whose helper threads outlived their loop left the child a
+// condition variable that only those threads could release: forked right
+// after a loop, one child in ten or so hung in its first loop. Helpers that
+// live for one loop leave nothing behind to wait on.
+TEST(WorkerHarness, ChildLoopsNeverWaitOnParentThreads) {
+  const unsigned before = parallel_thread_count();
+  set_parallel_thread_count(4);
+  constexpr int kChildren = 300;
+  std::atomic<int> parent_items{0};
+  int hung = 0;
+  int failed = 0;
+  for (int c = 0; c < kChildren; ++c) {
+    parallel_for(64, [&](std::size_t) { parent_items.fetch_add(1); });
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0) << std::strerror(errno);
+    if (pid == 0) {
+      alarm(2);  // a hung child dies of SIGALRM
+      std::atomic<int> items{0};
+      for (int loop = 0; loop < 100; ++loop)
+        parallel_for(64, [&](std::size_t) { items.fetch_add(1); });
+      _exit(items.load() == 64 * 100 ? 0 : 1);
+    }
+    int wstatus = 0;
+    ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+    if (WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGALRM) ++hung;
+    else if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0) ++failed;
+  }
+  set_parallel_thread_count(before);
+  EXPECT_EQ(parent_items.load(), 64 * kChildren);
+  EXPECT_EQ(hung, 0) << hung << " of " << kChildren << " children hung";
+  EXPECT_EQ(failed, 0) << failed << " of " << kChildren << " children failed";
 }
 
 // ---------------------------------------------------------------------------

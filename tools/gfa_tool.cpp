@@ -610,7 +610,7 @@ void usage() {
       "  gfa_tool sat <spec> <impl> <k> [conflict-limit]\n"
       "  gfa_tool stats <file>\n"
       "observability flags (any command):\n"
-      "  --threads=<n>          thread-pool size, 1..1024 (default:"
+      "  --threads=<n>          parallel loop width, 1..1024 (default:"
       " GFA_THREADS or all cores)\n"
       "  --metrics              collect + print engine metrics\n"
       "  --trace=<file>         write Chrome trace-event JSON\n"
