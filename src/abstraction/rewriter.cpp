@@ -30,76 +30,146 @@ inline void timed_substitute(bool sample, Fn&& fn) {
 
 }  // namespace
 
+BackwardRewriter::BackwardRewriter(const std::vector<bool>& substitutable,
+                                   std::size_t max_terms,
+                                   const ExecControl* control)
+    : rank_(substitutable.size(), kNever),
+      occurs_(substitutable.size()),
+      max_terms_(max_terms),
+      control_(control),
+      lease_(budget_of(control), BudgetSite::kRewriterTerms) {
+  for (VarId v = 0; v < substitutable.size(); ++v)
+    if (substitutable[v]) rank_[v] = v;
+}
+
+void BackwardRewriter::rank_by(const std::vector<NetId>& gates) {
+  std::vector<std::uint32_t> rank(rank_.size(), kNever);
+  for (std::size_t i = 0; i < gates.size(); ++i)
+    if (rank_[gates[i]] != kNever) rank[gates[i]] = static_cast<std::uint32_t>(i);
+  rank_ = std::move(rank);
+  for (OccList& list : occurs_) list = {};
+  occ_bytes_ = 0;
+  for (const BitMono& m : seed_log_) {
+    if (terms_.find(m) == terms_.end()) continue;  // cancelled since
+    const VarId lead = leading_var(m);
+    if (lead == kNoLead) continue;
+    occurs_[lead].push_back(m);
+    occ_bytes_ += occ_entry_bytes(m);
+  }
+  seed_log_ = {};
+  ranked_ = true;
+  // A multiplier's chain peaks at about half its gate count or more (k = 64:
+  // Mastrovito 0.49, flat Montgomery 0.55; k = 233 Montgomery 0.82), so an
+  // arena sized for half the gates skips the doublings that would move every
+  // term several times. Under a byte budget the map grows on demand, as a
+  // reservation could exceed what the chain ever needs.
+  if (!lease_.active()) terms_.reserve(gates.size() / 2);
+}
+
+void BackwardRewriter::flush_counters() {
+  GFA_COUNT("chain.term_ops", term_ops_);
+  GFA_COUNT("chain.cancellations", cancellations_);
+  GFA_COUNT("chain.rehashes", terms_.rehashes() - flushed_rehashes_);
+  term_ops_ = cancellations_ = 0;
+  flushed_rehashes_ = terms_.rehashes();
+}
+
 void BackwardRewriter::substitute(VarId v, const FlatTail& tail) {
   // Flat tails carry implicit all-one coefficients: every expanded term
   // reuses the affected term's coefficient unchanged, and the last expansion
-  // moves it.
+  // moves it. Every live term that contains v has v as its leading
+  // variable, so occurs_[v] lists them all, in insertion order.
   if (occurs_[v].empty()) return;  // v no longer occurs: nothing to rewrite
   OccList pending = std::move(occurs_[v]);
   occurs_[v] = {};
   const std::size_t np = pending.size();
   const auto& ms = tail.monos;
+  // Each expanded term's leading variable is the earlier of the stripped
+  // term's and the tail monomial's.
+  auto& tail_lead = tail_lead_;
+  tail_lead.clear();
+  for (const BitMono& m : ms) tail_lead.push_back(leading_var(m));
   if (ms.size() == 2) {
     // XOR2 — the dominant gate shape — gets a software-pipelined loop.
     // Every map access here is a random probe into a table far larger
     // than L2, but each pending term's expansion is a pure function of
     // (term, v, tail): the next term's find slot, both of its expanded
-    // monomials' insert slots, and its occurrence-list lines can all be
-    // prefetched a full iteration (~several hundred cycles) ahead,
-    // overlapping misses that a naive loop serializes.
-    BitMono nm0, nm1;  // staged expansion of pending[pi + 1]
+    // monomials' insert slots, and their leading variables' occurrence
+    // lists can all be prefetched a full iteration (~several hundred
+    // cycles) ahead, overlapping misses that a naive loop serializes.
+    // Every key is hashed once, here, for its prefetch, find and insert.
+    struct Staged {
+      std::uint64_t h, h0, h1;
+      BitMono m0, m1;
+      VarId lead0, lead1;
+    } next;
     const auto stage = [&](const BitMono& mono) {
-      terms_.prefetch(mono);
+      next.h = mono.hash();
+      terms_.prefetch(next.h);
       const BitMono rest = mono.without(v);
-      nm0 = bitmono_mul(rest, ms[0]);
-      nm1 = bitmono_mul(rest, ms[1]);
-      terms_.prefetch(nm0);
-      terms_.prefetch(nm1);
-      // The inserts append to the occurrence list of every substitutable
-      // variable they mention; those lists scatter through a
-      // multi-megabyte array, so warm them too. (The tail's own
-      // variables go hot after the first term.)
-      for (VarId w : rest)
-        if (substitutable_[w]) __builtin_prefetch(&occurs_[w], 1, 1);
+      const VarId rest_lead = leading_var(rest);
+      next.m0 = bitmono_mul(rest, ms[0]);
+      next.m1 = bitmono_mul(rest, ms[1]);
+      next.h0 = next.m0.hash();
+      next.h1 = next.m1.hash();
+      terms_.prefetch(next.h0);
+      terms_.prefetch(next.h1);
+      next.lead0 = first_of(rest_lead, tail_lead[0]);
+      next.lead1 = first_of(rest_lead, tail_lead[1]);
+      // A fresh insert appends to its leading variable's occurrence list;
+      // those lists scatter through a multi-megabyte array, so warm them.
+      if (next.lead0 != kNoLead) __builtin_prefetch(&occurs_[next.lead0], 1, 1);
+      if (next.lead1 != kNoLead) __builtin_prefetch(&occurs_[next.lead1], 1, 1);
     };
     stage(pending[0]);
     for (std::size_t pi = 0; pi < np; ++pi) {
-      BitMono m0 = std::move(nm0);
-      BitMono m1 = std::move(nm1);
+      Staged cur = std::move(next);
       const BitMono& mono = pending[pi];
       const std::size_t b = occ_entry_bytes(mono);
       occ_bytes_ = occ_bytes_ > b ? occ_bytes_ - b : 0;
       // The find's slot line was prefetched an iteration ago; probe now,
       // then stage the next term before expanding this one.
-      auto it = terms_.find(mono);
+      auto it = terms_.find_hashed(cur.h, mono);
       if (pi + 1 < np) stage(pending[pi + 1]);
       if (it == terms_.end()) continue;  // cancelled since registration
       Gf2k::Elem coeff = std::move(it->second);
       spill_bytes_ -= it->first.spill_bytes() + coeff.heap_bytes();
       terms_.erase(it);
-      add(std::move(m0), coeff);
-      add(std::move(m1), std::move(coeff));
+      insert(cur.h0, std::move(cur.m0), coeff, cur.lead0);
+      insert(cur.h1, std::move(cur.m1), std::move(coeff), cur.lead1);
     }
     return;
   }
   // Generic path: erase, strip v, expand — one term at a time,
   // with the next term's find slot prefetched while the current expands.
+  std::uint64_t next_h = pending[0].hash();
   for (std::size_t pi = 0; pi < np; ++pi) {
     const BitMono& mono = pending[pi];
-    if (pi + 1 < np) terms_.prefetch(pending[pi + 1]);
+    const std::uint64_t h = next_h;
+    if (pi + 1 < np) {
+      next_h = pending[pi + 1].hash();
+      terms_.prefetch(next_h);
+    }
     if ((pi & 255u) == 0)
       GFA_HISTOGRAM("rewriter.probe_len", terms_.probe_length(mono));
     const std::size_t b = occ_entry_bytes(mono);
     occ_bytes_ = occ_bytes_ > b ? occ_bytes_ - b : 0;
-    auto it = terms_.find(mono);
+    auto it = terms_.find_hashed(h, mono);
     if (it == terms_.end()) continue;  // cancelled since registration
     Gf2k::Elem coeff = std::move(it->second);
     spill_bytes_ -= it->first.spill_bytes() + coeff.heap_bytes();
     terms_.erase(it);
     const BitMono rest = mono.without(v);
-    for (std::size_t t = 0; t + 1 < ms.size(); ++t)
-      add(bitmono_mul(rest, ms[t]), coeff);
-    if (!ms.empty()) add(bitmono_mul(rest, ms.back()), std::move(coeff));
+    const VarId rest_lead = leading_var(rest);
+    for (std::size_t t = 0; t < ms.size(); ++t) {
+      BitMono m = bitmono_mul(rest, ms[t]);
+      const std::uint64_t mh = m.hash();
+      const VarId lead = first_of(rest_lead, tail_lead[t]);
+      if (t + 1 < ms.size())
+        insert(mh, std::move(m), coeff, lead);
+      else
+        insert(mh, std::move(m), std::move(coeff), lead);
+    }
   }
 }
 
@@ -107,12 +177,18 @@ void BackwardRewriter::run_segment(const Netlist& netlist,
                                    const std::vector<NetId>& gates,
                                    std::size_t from, std::size_t to) {
   assert(to <= gates.size() && from <= to);
+  if (!ranked_) rank_by(gates);
   const bool measured = obs::metrics_enabled();
+  // Counters reach the metrics however the segment ends (a tripped budget
+  // or an expired deadline unwinds through here).
+  struct Flush {
+    BackwardRewriter* self;
+    ~Flush() { self->flush_counters(); }
+  } flush{this};
   // One scratch tail reused across all gates (capacity sticks, so
   // steady-state tail construction is allocation-free), and gates absent
   // from the working polynomial skip tail construction outright
-  // (substitution would be a no-op — the occurrence index only
-  // over-approximates, never misses).
+  // (substitution would be a no-op).
   FlatTail tail;
   for (std::size_t i = from; i < to; ++i) {
     throw_if_stopped(control_);

@@ -106,50 +106,17 @@ class BackwardRewriter {
   /// A control carrying a ResourceBudget additionally bounds the term map
   /// and occurrence index in bytes (site rewriter.terms); run_segment polls
   /// its deadline and cancel token once per gate.
-  explicit BackwardRewriter(std::vector<bool> substitutable,
+  explicit BackwardRewriter(const std::vector<bool>& substitutable,
                             std::size_t max_terms = 0,
-                            const ExecControl* control = nullptr)
-      : substitutable_(std::move(substitutable)),
-        occurs_(substitutable_.size()),
-        max_terms_(max_terms),
-        control_(control),
-        lease_(budget_of(control), BudgetSite::kRewriterTerms) {}
+                            const ExecControl* control = nullptr);
 
   /// Adds coeff·mono. An rvalue coefficient is moved into a fresh slot;
   /// either way only coefficients past k = 256 own a heap buffer.
   template <class C>
   void add(BitMono mono, C&& coeff) {
-    if (coeff.is_zero()) return;
-    GFA_FAULT_POINT("oom:rewriter.add");
-    // try_emplace leaves `mono` (and `coeff`) intact when the key already
-    // exists; it forwards the coefficient only on a fresh insert.
-    auto [it, inserted] =
-        terms_.try_emplace(std::move(mono), std::forward<C>(coeff));
-    if (!inserted) {
-      spill_bytes_ -= it->second.heap_bytes();
-      it->second += coeff;
-      if (it->second.is_zero()) {
-        spill_bytes_ -= it->first.spill_bytes();
-        terms_.erase(it);
-      } else {
-        spill_bytes_ += it->second.heap_bytes();
-      }
-      return;  // already indexed
-    }
-    spill_bytes_ += it->first.spill_bytes() + it->second.heap_bytes();
-    for (VarId v : it->first) {
-      if (substitutable_[v]) {
-        occurs_[v].push_back(it->first);
-        occ_bytes_ += occ_entry_bytes(it->first);
-      }
-    }
-    if (terms_.size() > peak_terms_) peak_terms_ = terms_.size();
-    if (max_terms_ && terms_.size() > max_terms_)
-      throw RewriteBudgetExceeded("rewriting term budget exceeded");
-    // Byte accounting is synced every 64 mutations — often enough to stop a
-    // blow-up, rare enough to keep the atomics out of the inner loop.
-    if (lease_.active() && (++budget_ops_ & 63u) == 0)
-      lease_.set_bytes(terms_.allocated_bytes() + spill_bytes_ + occ_bytes_);
+    const std::uint64_t h = mono.hash();
+    const VarId lead = leading_var(mono);
+    insert(h, std::move(mono), std::forward<C>(coeff), lead);
   }
 
   void add(const BitPoly& p) {
@@ -157,12 +124,17 @@ class BackwardRewriter {
   }
 
   /// Replaces every occurrence of variable v by `tail` (a polynomial over
-  /// variables that will be substituted after v, or never).
+  /// variables that will be substituted after v, or never). v must lead
+  /// every live term it occurs in — true of each call run_segment makes,
+  /// and, before the first run_segment, of the smallest substitutable
+  /// VarId in the polynomial.
   void substitute(VarId v, const FlatTail& tail);
 
   /// Substitutes gates[from, to) — in RATO order — polling the control
   /// before every gate. After it returns, the term map holds exactly the
-  /// chain's polynomial after `to` substitutions.
+  /// chain's polynomial after `to` substitutions. Every call must pass the
+  /// same `gates`: the first one ranks the variables by their position in
+  /// it and re-indexes the terms added so far.
   void run_segment(const Netlist& netlist, const std::vector<NetId>& gates,
                    std::size_t from, std::size_t to);
 
@@ -176,11 +148,83 @@ class BackwardRewriter {
   /// Largest term-map size seen so far (sampled after every insertion).
   std::size_t peak_terms() const { return peak_terms_; }
 
-  /// Registered (possibly stale) occurrence-index entries for v.
+  /// Occurrence entries filed under v as leading variable. Each fresh term
+  /// files one entry under its leading variable — of its substitutable
+  /// variables, the one substituted first — and an entry goes stale when
+  /// its term cancels.
   std::size_t occurrences(VarId v) const { return occurs_[v].size(); }
 
  private:
   using OccList = InlineSmallVec<BitMono, 2>;
+  static constexpr std::uint32_t kNever = UINT32_MAX;  // rank of non-substitutable
+  static constexpr VarId kNoLead = UINT32_MAX;
+
+  /// The term's leading variable, or kNoLead when it has no substitutable
+  /// variable.
+  VarId leading_var(const BitMono& mono) const {
+    VarId lead = kNoLead;
+    std::uint32_t best = kNever;
+    for (VarId v : mono) {
+      if (rank_[v] < best) {
+        best = rank_[v];
+        lead = v;
+      }
+    }
+    return lead;
+  }
+  /// Of two leading variables (kNoLead allowed), the one substituted first:
+  /// the leading variable of the product of their terms.
+  VarId first_of(VarId a, VarId b) const {
+    if (a == kNoLead) return b;
+    if (b == kNoLead) return a;
+    return rank_[a] < rank_[b] ? a : b;
+  }
+
+  /// Adds coeff·mono given `h == mono.hash()` and mono's leading variable.
+  template <class C>
+  void insert(std::uint64_t h, BitMono mono, C&& coeff, VarId lead) {
+    if (coeff.is_zero()) return;
+    GFA_FAULT_POINT("oom:rewriter.add");
+    ++term_ops_;
+    // try_emplace leaves `mono` (and `coeff`) intact when the key already
+    // exists; it forwards the coefficient only on a fresh insert.
+    auto [it, inserted] =
+        terms_.try_emplace_hashed(h, std::move(mono), std::forward<C>(coeff));
+    if (!inserted) {
+      spill_bytes_ -= it->second.heap_bytes();
+      it->second += coeff;
+      if (it->second.is_zero()) {
+        ++cancellations_;
+        spill_bytes_ -= it->first.spill_bytes();
+        terms_.erase(it);
+      } else {
+        spill_bytes_ += it->second.heap_bytes();
+      }
+      return;  // already indexed
+    }
+    spill_bytes_ += it->first.spill_bytes() + it->second.heap_bytes();
+    if (!ranked_) seed_log_.push_back(it->first);
+    if (lead != kNoLead) {
+      occurs_[lead].push_back(it->first);
+      occ_bytes_ += occ_entry_bytes(it->first);
+    }
+    if (terms_.size() > peak_terms_) peak_terms_ = terms_.size();
+    if (max_terms_ && terms_.size() > max_terms_)
+      throw RewriteBudgetExceeded("rewriting term budget exceeded");
+    // Byte accounting is synced every 64 mutations — often enough to stop a
+    // blow-up, rare enough to keep the atomics out of the inner loop.
+    if (lease_.active() && (++budget_ops_ & 63u) == 0)
+      lease_.set_bytes(terms_.allocated_bytes() + spill_bytes_ + occ_bytes_ +
+                       seed_log_.capacity() * sizeof(BitMono));
+  }
+
+  /// Ranks the variables by their position in `gates`, files every term
+  /// added so far under its leading variable by that rank, in the order the
+  /// terms were added, and sizes the term map for the chain.
+  void rank_by(const std::vector<NetId>& gates);
+
+  /// Adds the chain's work counters to the metrics and zeroes them.
+  void flush_counters();
 
   /// Gate-lookahead prefetch for run_segment: a substitution typically
   /// affects a single term, so latency can only be hidden by warming the
@@ -196,7 +240,7 @@ class BackwardRewriter {
     const OccList& pending = occurs_[v];
     std::size_t n = pending.size();
     if (n > 4) n = 4;  // a few lines of lead is all the loop can use
-    for (std::size_t i = 0; i < n; ++i) terms_.prefetch(pending[i]);
+    for (std::size_t i = 0; i < n; ++i) terms_.prefetch(pending[i].hash());
   }
 
   /// Heap footprint of one occurrence-index entry: inline monomials cost the
@@ -205,7 +249,14 @@ class BackwardRewriter {
     return sizeof(BitMono) + m.spill_bytes();
   }
 
-  std::vector<bool> substitutable_;
+  // Substitution order: rank_[v] is v's position in the gates run_segment
+  // walks (kNever when v is never substituted). Until the first run_segment
+  // it is v itself for substitutable v, and seed_log_ records every fresh
+  // term so rank_by can re-file them in insertion order.
+  std::vector<std::uint32_t> rank_;
+  bool ranked_ = false;
+  std::vector<BitMono> seed_log_;
+  std::vector<VarId> tail_lead_;  // substitute's scratch: each tail term's lead
   TermMap terms_;
   std::vector<OccList> occurs_;
   std::size_t max_terms_;
@@ -217,6 +268,11 @@ class BackwardRewriter {
   std::size_t spill_bytes_ = 0;
   std::size_t budget_ops_ = 0;   // mutation counter for the sync cadence
   std::size_t peak_terms_ = 0;   // high-water mark of terms_.size()
+  // Work counters for chain.term_ops / .cancellations / .rehashes, flushed
+  // to the metrics once per run_segment.
+  std::size_t term_ops_ = 0;
+  std::size_t cancellations_ = 0;
+  std::size_t flushed_rehashes_ = 0;
   BudgetLease lease_;            // releases everything on destruction
 };
 
@@ -229,7 +285,7 @@ class ShardedRewriter : public BackwardRewriter {
   ShardedRewriter(const Gf2k& /*field*/, std::vector<bool> substitutable,
                   unsigned /*shards*/, std::size_t max_terms = 0,
                   const ExecControl* control = nullptr)
-      : BackwardRewriter(std::move(substitutable), max_terms, control) {}
+      : BackwardRewriter(substitutable, max_terms, control) {}
 
   void seed(BitMono mono, const Gf2k::Elem& coeff) {
     add(std::move(mono), coeff);

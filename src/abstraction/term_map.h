@@ -3,22 +3,35 @@
 // (bitpoly.h). The generic unordered_map paid one node allocation plus a
 // pointer chase per term; here every (monomial, coefficient) pair lives in a
 // single contiguous slot array — the arena — probed linearly from the
-// monomial's own full-avalanche hash. Growth doubles the arena and rehashes;
-// erasure leaves a tombstone, and the next growth-check purges tombstones by
-// rehashing in place when live terms are the minority.
+// monomial's own full-avalanche hash.
+//
+// One control byte per slot says whether the slot is live and, when it is,
+// how far the entry sits from its home slot (its displacement, saturating;
+// a saturated byte falls back to rehashing the key). Slots are raw storage:
+// an entry is constructed when inserted and destroyed when erased, so a new
+// arena is never value-initialised and only the slots that are written are
+// ever touched. Erasure shifts the rest of the probe run back into the hole
+// (Knuth's Algorithm R, decided from the control bytes alone), so there are
+// no tombstones and the arena only ever changes size by doubling.
 //
 // Semantics intentionally mirror the std::unordered_map subset the
 // polynomial layer uses (try_emplace / find / at / erase(iterator) /
 // iteration / operator==). Two deliberate differences:
 //   * try_emplace takes the key by value (a PackedMono move is two words);
+//   * erase invalidates iterators: it may move later entries back a slot.
+// Callers that already hold a key's hash pass it to the `*_hashed` forms, so
+// the reduction chain hashes each key once for its prefetch, find and insert.
 //
 // allocated_bytes() is exact (capacity × slot footprint), which the rewriter
 // reports to the rewriter.terms ResourceBudget site.
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -34,6 +47,7 @@ class PackedTermMap {
   using value_type = std::pair<PackedMono, V>;
 
   PackedTermMap() = default;
+  ~PackedTermMap() { release(); }
   PackedTermMap(PackedTermMap&& o) noexcept { swap(o); }
   PackedTermMap& operator=(PackedTermMap&& o) noexcept {
     if (this != &o) {
@@ -45,7 +59,8 @@ class PackedTermMap {
   PackedTermMap(const PackedTermMap& o) {
     reserve(o.size_);
     for (std::size_t i = 0; i < o.cap_; ++i)
-      if (o.ctrl_[i] == kFull) try_emplace(o.slots_[i].first, o.slots_[i].second);
+      if (o.ctrl_[i] != kEmpty)
+        try_emplace(o.slots_[i].first, o.slots_[i].second);
   }
   PackedTermMap& operator=(const PackedTermMap& o) {
     if (this != &o) {
@@ -110,25 +125,30 @@ class PackedTermMap {
   const_iterator begin() const { return {this, next_full(0)}; }
   const_iterator end() const { return {this, cap_}; }
 
-  iterator find(const PackedMono& key) { return {this, find_index(key)}; }
+  iterator find(const PackedMono& key) { return find_hashed(key.hash(), key); }
   const_iterator find(const PackedMono& key) const {
-    return {this, find_index(key)};
+    return {this, find_index(key.hash(), key)};
+  }
+  /// find() for a caller that already holds `h == key.hash()`.
+  iterator find_hashed(std::uint64_t h, const PackedMono& key) {
+    return {this, find_index(h, key)};
   }
 
-  /// Warms the cache lines a find/try_emplace of `key` will touch first.
-  /// The reduction chain's probes are independent random accesses into a
-  /// table far larger than L2; issuing the next term's prefetch before
-  /// processing the current one overlaps the memory latency instead of
-  /// serializing it. Purely advisory — no observable state changes.
-  void prefetch(const PackedMono& key) const {
+  /// Warms the cache lines a find/try_emplace of the key with hash `h` will
+  /// touch first. The reduction chain's probes are independent random
+  /// accesses into a table far larger than L2; issuing the next term's
+  /// prefetch before processing the current one overlaps the memory latency
+  /// instead of serializing it. Purely advisory — no observable state
+  /// changes.
+  void prefetch(std::uint64_t h) const {
     if (cap_ == 0) return;
-    const std::size_t i = key.hash() & (cap_ - 1);
+    const std::size_t i = h & (cap_ - 1);
     __builtin_prefetch(ctrl_.get() + i, 0, 1);
-    __builtin_prefetch(slots_.get() + i, 0, 1);
+    __builtin_prefetch(slots_ + i, 0, 1);
   }
 
   V& at(const PackedMono& key) {
-    const std::size_t i = find_index(key);
+    const std::size_t i = find_index(key.hash(), key);
     if (i == cap_) throw std::out_of_range("PackedTermMap::at: no such key");
     return slots_[i].second;
   }
@@ -140,48 +160,68 @@ class PackedTermMap {
   /// unordered_map::try_emplace but takes the key by value (two-word move).
   template <class... Args>
   std::pair<iterator, bool> try_emplace(PackedMono key, Args&&... args) {
-    if (cap_ == 0) rehash(kMinCapacity);
-    std::size_t tomb = npos;
-    std::size_t i = probe(key, tomb);
-    if (i != npos) return {iterator{this, i}, false};
-    if ((used_ + 1) * 4 > cap_ * 3) {
-      // Grow when live terms dominate, purge tombstones in place otherwise.
-      rehash((size_ + 1) * 2 > cap_ ? cap_ * 2 : cap_);
-      tomb = npos;
-      i = probe(key, tomb);
-    }
-    std::size_t target = tomb;
-    if (target == npos) {
-      target = free_;  // the empty slot probe() stopped at
-      ++used_;
-    }
-    slots_[target].first = std::move(key);
-    slots_[target].second = V(std::forward<Args>(args)...);
-    ctrl_[target] = kFull;
-    ++size_;
-    return {iterator{this, target}, true};
+    const std::uint64_t h = key.hash();
+    return try_emplace_hashed(h, std::move(key), std::forward<Args>(args)...);
   }
 
+  /// try_emplace() for a caller that already holds `h == key.hash()`.
+  template <class... Args>
+  std::pair<iterator, bool> try_emplace_hashed(std::uint64_t h, PackedMono key,
+                                               Args&&... args) {
+    std::size_t i = 0, d = 0;
+    if (cap_ != 0) {
+      const std::size_t mask = cap_ - 1;
+      for (i = h & mask; ctrl_[i] != kEmpty; i = (i + 1) & mask, ++d)
+        if (slots_[i].first == key) return {iterator{this, i}, false};
+    }
+    if ((size_ + 1) * 4 > cap_ * 3) {
+      grow();
+      const std::size_t mask = cap_ - 1;
+      for (i = h & mask, d = 0; ctrl_[i] != kEmpty; i = (i + 1) & mask) ++d;
+    }
+    ::new (static_cast<void*>(slots_ + i)) value_type(
+        std::piecewise_construct, std::forward_as_tuple(std::move(key)),
+        std::forward_as_tuple(std::forward<Args>(args)...));
+    ctrl_[i] = encode(d);
+    ++size_;
+    return {iterator{this, i}, true};
+  }
+
+  /// Removes the entry at `it` and shifts the rest of its probe run back:
+  /// every later entry whose home slot does not lie between the hole and
+  /// itself moves into the hole, which then continues from the moved
+  /// entry's old slot. Invalidates iterators.
   void erase(iterator it) {
-    const std::size_t i = it.index();
-    slots_[i] = value_type();
-    ctrl_[i] = kTomb;
+    const std::size_t mask = cap_ - 1;
+    std::size_t hole = it.index();
+    slots_[hole].~value_type();
+    for (std::size_t j = (hole + 1) & mask; ctrl_[j] != kEmpty;
+         j = (j + 1) & mask) {
+      const std::size_t d = displacement(j);
+      const std::size_t gap = (j - hole) & mask;
+      if (d < gap) continue;  // home lies in (hole, j]: stays reachable
+      ::new (static_cast<void*>(slots_ + hole))
+          value_type(std::move(slots_[j]));
+      slots_[j].~value_type();
+      ctrl_[hole] = encode(d - gap);
+      hole = j;
+    }
+    ctrl_[hole] = kEmpty;
     --size_;
   }
 
   std::size_t erase(const PackedMono& key) {
-    const std::size_t i = find_index(key);
+    const std::size_t i = find_index(key.hash(), key);
     if (i == cap_) return 0;
     erase(iterator{this, i});
     return 1;
   }
 
   void clear() {
-    for (std::size_t i = 0; i < cap_; ++i) {
-      if (ctrl_[i] == kFull) slots_[i] = value_type();
-      ctrl_[i] = kEmpty;
-    }
-    size_ = used_ = 0;
+    for (std::size_t i = 0; i < cap_; ++i)
+      if (ctrl_[i] != kEmpty) slots_[i].~value_type();
+    if (cap_ != 0) std::memset(ctrl_.get(), kEmpty, cap_);
+    size_ = 0;
   }
 
   void reserve(std::size_t n) {
@@ -195,6 +235,10 @@ class PackedTermMap {
     return cap_ * (sizeof(value_type) + 1);
   }
 
+  /// Arenas this map has moved its entries out of (growth or reserve): the
+  /// work counter behind chain.rehashes.
+  std::size_t rehashes() const { return rehashes_; }
+
   /// Number of slots a find(key) walks before terminating (hit or empty
   /// slot), counting the final one — so a first-slot hit is 1. Observability
   /// re-walk for the rewriter.probe_len histogram; never called on the hot
@@ -203,20 +247,19 @@ class PackedTermMap {
     if (cap_ == 0) return 0;
     std::size_t i = key.hash() & (cap_ - 1);
     std::size_t steps = 1;
-    while (true) {
-      const std::uint8_t c = ctrl_[i];
-      if (c == kEmpty || (c == kFull && slots_[i].first == key)) return steps;
+    while (ctrl_[i] != kEmpty && !(slots_[i].first == key)) {
       i = (i + 1) & (cap_ - 1);
       ++steps;
     }
+    return steps;
   }
 
   /// Unordered (set) equality, as unordered_map defines it.
   bool operator==(const PackedTermMap& o) const {
     if (size_ != o.size_) return false;
     for (std::size_t i = 0; i < cap_; ++i) {
-      if (ctrl_[i] != kFull) continue;
-      const std::size_t j = o.find_index(slots_[i].first);
+      if (ctrl_[i] == kEmpty) continue;
+      const std::size_t j = o.find_index(slots_[i].first.hash(), slots_[i].first);
       if (j == o.cap_ || !(o.slots_[j].second == slots_[i].second))
         return false;
     }
@@ -226,95 +269,97 @@ class PackedTermMap {
 
  private:
   static constexpr std::size_t kMinCapacity = 16;
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  static constexpr std::uint8_t kEmpty = 0, kFull = 1, kTomb = 2;
+  // Control byte: kEmpty, or 1 + the entry's displacement from its home
+  // slot; kFar stands for any displacement of kFar - 1 or more.
+  static constexpr std::uint8_t kEmpty = 0, kFar = 255;
+
+  static std::uint8_t encode(std::size_t d) {
+    return d + 1 < kFar ? static_cast<std::uint8_t>(d + 1) : kFar;
+  }
+  std::size_t displacement(std::size_t i) const {
+    const std::uint8_t c = ctrl_[i];
+    if (c != kFar) return c - 1u;
+    return (i - slots_[i].first.hash()) & (cap_ - 1);
+  }
 
   void swap(PackedTermMap& o) noexcept {
     std::swap(slots_, o.slots_);
     std::swap(ctrl_, o.ctrl_);
     std::swap(cap_, o.cap_);
     std::swap(size_, o.size_);
-    std::swap(used_, o.used_);
-    std::swap(free_, o.free_);
+    std::swap(rehashes_, o.rehashes_);
   }
 
   std::size_t next_full(std::size_t i) const {
-    while (i < cap_ && ctrl_[i] != kFull) ++i;
+    while (i < cap_ && ctrl_[i] == kEmpty) ++i;
     return i;
   }
 
-  /// Index of `key`, or cap_ (== end) when absent.
-  std::size_t find_index(const PackedMono& key) const {
+  /// Index of `key` (hash `h`), or cap_ (== end) when absent.
+  std::size_t find_index(std::uint64_t h, const PackedMono& key) const {
     if (cap_ == 0) return cap_;
-    std::size_t i = key.hash() & (cap_ - 1);
-    while (true) {
-      const std::uint8_t c = ctrl_[i];
-      if (c == kEmpty) return cap_;
-      if (c == kFull && slots_[i].first == key) return i;
-      i = (i + 1) & (cap_ - 1);
-    }
+    const std::size_t mask = cap_ - 1;
+    for (std::size_t i = h & mask; ctrl_[i] != kEmpty; i = (i + 1) & mask)
+      if (slots_[i].first == key) return i;
+    return cap_;
   }
 
-  /// Probes for `key`: returns its index when present (npos otherwise),
-  /// records the first tombstone seen in `tomb`, and leaves the terminating
-  /// empty slot in free_ for the insert that follows a miss.
-  std::size_t probe(const PackedMono& key, std::size_t& tomb) {
-    std::size_t i = key.hash() & (cap_ - 1);
-    while (true) {
-      const std::uint8_t c = ctrl_[i];
-      if (c == kEmpty) {
-        free_ = i;
-        return npos;
-      }
-      if (c == kTomb) {
-        if (tomb == npos) tomb = i;
-      } else if (slots_[i].first == key) {
-        return i;
-      }
-      i = (i + 1) & (cap_ - 1);
-    }
-  }
+  void grow() { rehash(cap_ == 0 ? kMinCapacity : cap_ * 2); }
 
+  /// Moves every entry into a fresh arena of `new_cap` slots. Only the
+  /// control bytes are zeroed; slots stay raw until an entry lands in them.
   void rehash(std::size_t new_cap) {
-    auto slots = std::make_unique<value_type[]>(new_cap);
+    if (cap_ != 0) ++rehashes_;
+    value_type* slots = std::allocator<value_type>{}.allocate(new_cap);
     auto ctrl = std::make_unique<std::uint8_t[]>(new_cap);  // zero == kEmpty
+    const std::size_t mask = new_cap - 1;
     // Entries scatter into the new arrays at random; a large table's rehash
-    // is therefore one cold miss per entry if placed naively. The hashes are
-    // all known up front, so run a small window ahead of the placements and
-    // prefetch each entry's home line before it is needed. Placement order
-    // (old-slot order) is unchanged — the window only warms lines.
+    // is therefore one cold miss per entry if placed naively. Run a small
+    // window ahead of the placements and prefetch each entry's home line
+    // before it is needed. Placement order (old-slot order) is unchanged —
+    // the window only warms lines.
     constexpr std::size_t kWindow = 8;
     std::size_t look = 0;  // next old slot to prefetch
     std::size_t in_flight = 0;
     for (std::size_t i = 0; i < cap_; ++i) {
-      if (ctrl_[i] != kFull) continue;
+      if (ctrl_[i] == kEmpty) continue;
       while (in_flight < kWindow && look < cap_) {
-        if (ctrl_[look] == kFull) {
-          const std::size_t h = slots_[look].first.hash() & (new_cap - 1);
+        if (ctrl_[look] != kEmpty) {
+          const std::size_t h = slots_[look].first.hash() & mask;
           __builtin_prefetch(ctrl.get() + h, 1, 1);
-          __builtin_prefetch(slots.get() + h, 1, 1);
+          __builtin_prefetch(slots + h, 1, 1);
           ++in_flight;
         }
         ++look;
       }
       if (in_flight > 0) --in_flight;
-      std::size_t j = slots_[i].first.hash() & (new_cap - 1);
-      while (ctrl[j] == kFull) j = (j + 1) & (new_cap - 1);
-      slots[j] = std::move(slots_[i]);
-      ctrl[j] = kFull;
+      std::size_t j = slots_[i].first.hash() & mask;
+      std::size_t d = 0;
+      for (; ctrl[j] != kEmpty; j = (j + 1) & mask) ++d;
+      ::new (static_cast<void*>(slots + j)) value_type(std::move(slots_[i]));
+      slots_[i].~value_type();
+      ctrl[j] = encode(d);
     }
-    slots_ = std::move(slots);
+    if (slots_ != nullptr) std::allocator<value_type>{}.deallocate(slots_, cap_);
+    slots_ = slots;
     ctrl_ = std::move(ctrl);
     cap_ = new_cap;
-    used_ = size_;
   }
 
-  std::unique_ptr<value_type[]> slots_;
+  /// Destroys every entry and frees the arena.
+  void release() noexcept {
+    if (slots_ == nullptr) return;
+    for (std::size_t i = 0; i < cap_; ++i)
+      if (ctrl_[i] != kEmpty) slots_[i].~value_type();
+    std::allocator<value_type>{}.deallocate(slots_, cap_);
+    slots_ = nullptr;
+  }
+
+  value_type* slots_ = nullptr;  // raw storage; ctrl_ says which slots live
   std::unique_ptr<std::uint8_t[]> ctrl_;
   std::size_t cap_ = 0;
-  std::size_t size_ = 0;  // live entries
-  std::size_t used_ = 0;  // live + tombstones (probe-chain occupancy)
-  std::size_t free_ = 0;  // scratch: empty slot the last failed probe hit
+  std::size_t size_ = 0;
+  std::size_t rehashes_ = 0;
 };
 
 }  // namespace gfa

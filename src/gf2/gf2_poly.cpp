@@ -121,7 +121,7 @@ Gf2Poly Gf2Poly::operator+(const Gf2Poly& rhs) const {
   return out;
 }
 
-Gf2Poly& Gf2Poly::operator+=(const Gf2Poly& rhs) {
+Gf2Poly& Gf2Poly::add_spilled(const Gf2Poly& rhs) {
   if (rhs.size_ > size_) resize(rhs.size_);
   std::uint64_t* w = data();
   const std::uint64_t* r = rhs.data();

@@ -90,8 +90,18 @@ class Gf2Poly {
   int weight() const;
 
   /// Addition and subtraction coincide over GF(2): coefficient-wise XOR.
+  /// Two inline operands (degree < 256: every field element up to k = 256)
+  /// XOR in the header — the reduction chain's coefficient merge is this
+  /// loop and a zero test.
   Gf2Poly operator+(const Gf2Poly& rhs) const;
-  Gf2Poly& operator+=(const Gf2Poly& rhs);
+  Gf2Poly& operator+=(const Gf2Poly& rhs) {
+    if (spilled() || rhs.spilled()) return add_spilled(rhs);
+    for (std::uint32_t i = size_; i < rhs.size_; ++i) inline_[i] = 0;
+    for (std::uint32_t i = 0; i < rhs.size_; ++i) inline_[i] ^= rhs.inline_[i];
+    if (rhs.size_ > size_) size_ = rhs.size_;
+    while (size_ > 0 && inline_[size_ - 1] == 0) --size_;
+    return *this;
+  }
 
   /// Carry-less (schoolbook) product.
   Gf2Poly operator*(const Gf2Poly& rhs) const;
@@ -173,6 +183,8 @@ class Gf2Poly {
     }
     size_ = 0;
   }
+  /// operator+= when either operand holds a heap buffer.
+  Gf2Poly& add_spilled(const Gf2Poly& rhs);
   /// this += p·x^n, growing as needed (p must not alias *this).
   void add_shifted(const Gf2Poly& p, unsigned n);
   void trim();

@@ -52,6 +52,13 @@ constexpr KnownMetric kKnownMetrics[] = {
     {"extract.words", MetricKind::kCounter},
     {"extract.substitutions", MetricKind::kCounter},
     {"extract.peak_terms", MetricKind::kGauge},
+    // Reduction chain work (abstraction/rewriter.cpp), from every chain
+    // (extractor, ideal membership): term adds into the term map, adds that
+    // merged a coefficient to zero and erased the term, and term-map arenas
+    // outgrown.
+    {"chain.term_ops", MetricKind::kCounter},
+    {"chain.cancellations", MetricKind::kCounter},
+    {"chain.rehashes", MetricKind::kCounter},
     // Case-2 lift (abstraction/word_lift.cpp): word pairs whose k×k matrix
     // went through Cᵀ·Q·C, length-k dot products and the reductions that
     // fold them (one per dot product: the products accumulate unreduced),

@@ -18,8 +18,10 @@
 #include <vector>
 
 #include "abstraction/bitpoly.h"
+#include "abstraction/extractor.h"
 #include "abstraction/rato.h"
 #include "abstraction/word_lift.h"
+#include "baselines/ideal_membership.h"
 #include "circuit/mastrovito.h"
 #include "circuit/montgomery.h"
 #include "circuit/mutate.h"
@@ -97,9 +99,50 @@ TEST_F(ObsTest, KnownMetricSchemaIsPreRegistered) {
         "fraig.merges", "parallel.items", "verify.sim_refutations",
         "worker.reap_signals", "gf.irreducibility_tests", "certify.runs",
         "certify.points", "witness.backfills", "netlist.parse_bytes",
-        "netlist.parse_nets", "rato.levels"}) {
+        "netlist.parse_nets", "rato.levels", "chain.term_ops",
+        "chain.cancellations", "chain.rehashes"}) {
     EXPECT_TRUE(snap.count(name)) << "missing pre-registered metric " << name;
   }
+}
+
+// The chain's work counters: the flat Montgomery's linear blocks sit under
+// its bilinear middle block, so each XOR substitution rewrites many terms
+// and the chain does ten times the term adds of a Mastrovito per gate. The
+// ideal-membership miter Z + A·B reduces to zero, one cancellation at a time.
+TEST_F(ObsTest, ChainCountsTermOpsCancellationsAndRehashes) {
+  set_metrics_enabled(true);
+  const Gf2k field = Gf2k::make(8);
+  auto value = [](const char* name) {
+    return Metrics::instance().counter(name).value();
+  };
+  struct Pin {
+    std::uint64_t term_ops, cancellations, rehashes;
+  };
+  const auto run = [&](const Netlist& nl, bool ideal) {
+    Metrics::instance().reset_all();
+    if (ideal)
+      EXPECT_TRUE(verify_multiplier_by_ideal_membership(nl, field).is_member);
+    else
+      (void)extract_word_function(nl, field);
+    return Pin{value("chain.term_ops"), value("chain.cancellations"),
+               value("chain.rehashes")};
+  };
+  const Netlist mastrovito = make_mastrovito_multiplier(field);
+  const Netlist montgomery = make_montgomery_multiplier_flat(field);
+  const Pin mas = run(mastrovito, false);
+  EXPECT_EQ(mas.term_ops, 228u);  // 8 seeds + 220 expanded terms
+  EXPECT_EQ(mas.cancellations, 0u);
+  // Sized for half the gates at the first segment, the map moves only the
+  // seeds; the miter's many seeds outgrow their arena before that.
+  EXPECT_EQ(mas.rehashes, 1u);
+  const Pin mon = run(montgomery, false);
+  EXPECT_EQ(mon.term_ops, 2432u);
+  EXPECT_EQ(mon.cancellations, 0u);
+  EXPECT_EQ(mon.rehashes, 1u);
+  const Pin ideal = run(mastrovito, true);
+  EXPECT_EQ(ideal.term_ops, 292u);
+  EXPECT_EQ(ideal.cancellations, 64u);  // every remainder term of Z cancels
+  EXPECT_EQ(ideal.rehashes, 3u);
 }
 
 // Ingest work counts come from the library, so every caller of the parser
