@@ -22,14 +22,12 @@ namespace {
 /// Reports a phase boundary / segment end to the progress sink (the isolated
 /// worker's heartbeat channel) and drops a phase-transition breadcrumb into
 /// the crash flight recorder. One branch when neither consumer is active.
-void report_phase(const char* phase, std::uint64_t step, std::uint64_t total,
-                  std::uint64_t terms, const ExecControl* control) {
+void report_phase(const char* phase, std::uint64_t step, std::uint64_t terms,
+                  const ExecControl* control) {
   if (obs::progress_active()) {
     obs::Progress p;
     p.phase = phase;
     p.step = step;
-    p.total = total;
-    p.terms = terms;
     if (const ResourceBudget* b = budget_of(control))
       p.budget_bytes = b->used_bytes();
     obs::report_progress(p);
@@ -41,7 +39,7 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
                               const Word* out_word,
                               const ExtractionOptions& options) {
   const obs::TraceSpan extract_span("extract_word", "abstraction");
-  report_phase("extract_word", 0, 0, 0, options.control);
+  report_phase("extract_word", 0, 0, options.control);
   const unsigned k = field.k();
   const std::vector<const Word*> in_words = input_words(netlist);
   if (in_words.empty()) throw std::invalid_argument("no input words declared");
@@ -75,7 +73,7 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
       // The paper's RATO: the reverse-topological order that makes backward
       // substitution *be* the Gröbner reduction chain.
       const obs::TraceSpan sort_span("rato_sort", "abstraction");
-      report_phase("rato_sort", 0, 0, 0, options.control);
+      report_phase("rato_sort", 0, 0, options.control);
       rato = rato_net_order(netlist);
     }
     const obs::TraceSpan chain_span("reduction_chain", "abstraction");
@@ -90,15 +88,14 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
     // heartbeat's step count can get. Without one it is a single segment.
     const bool segmented = obs::progress_active();
     std::uint64_t step = 0;
-    report_phase("reduction_chain", step, gates.size(), chain.num_terms(),
-                 options.control);
+    report_phase("reduction_chain", step, chain.num_terms(), options.control);
     while (step < gates.size()) {
       const std::uint64_t end =
           segmented ? std::min<std::uint64_t>(step + 1000, gates.size())
                     : gates.size();
       chain.run_segment(netlist, gates, step, end);
       step = end;
-      report_phase("reduction_chain", step, gates.size(), chain.num_terms(),
+      report_phase("reduction_chain", step, chain.num_terms(),
                    options.control);
     }
     stats.substitutions = gates.size();
@@ -160,7 +157,7 @@ WordFunction extract_for_word(const Netlist& netlist, const Gf2k& field,
 
   // Step 2: the Case-2 lift (a no-op beyond copying constants for Case 1).
   const obs::TraceSpan lift_span("case2_lift", "abstraction");
-  report_phase("case2_lift", 0, 0, r.num_terms(), options.control);
+  report_phase("case2_lift", 0, r.num_terms(), options.control);
   if (stats.case1) {
     result.g = MPoly::constant(&field, r.coeff(BitMono{}));
   } else if (options.shared_lift != nullptr) {

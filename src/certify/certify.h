@@ -2,13 +2,12 @@
 // Verdict certification: every answer the engine layer produces is made
 // self-checking (DESIGN.md "Verdict certification").
 //
-//  * kNotEquivalent must come with a witness. The abstraction engine first
-//    runs one 64-lane round of random simulation, which refutes most buggy
-//    circuits before any algebra; a pair that round cannot separate gets
-//    its witness by Schwartz–Zippel sampling of the two canonical word
-//    polynomials. SAT/BDD/fraig hand over their satisfying assignments;
-//    anything else falls back to random (exhaustive for small inputs)
-//    simulation search.
+//  * kNotEquivalent must come with a witness, and every witness comes from
+//    the circuits. The abstraction engine first runs one 64-lane round of
+//    random simulation, which refutes most buggy circuits before any
+//    algebra; SAT/BDD/fraig hand over their satisfying assignments; any
+//    other verdict (a pair the round cannot separate included) gets its
+//    witness from a random (exhaustive for small inputs) simulation search.
 //    Either way the witness is replayed through the bit-parallel simulator —
 //    a code path independent of every proof engine — before it is reported.
 //  * kEquivalent is cross-checked (opt-in via RunOptions::certify): N×64
@@ -51,10 +50,10 @@ class ElemRng {
 Gf2k::Elem eval_word_function(const WordFunction& fn, const Gf2k& field,
                               const Witness& w);
 
-/// Schwartz–Zippel search on two word functions known to differ: samples
-/// random points until their evaluations disagree. Returns std::nullopt if
-/// `max_points` samples all agree (the caller then falls back to
-/// find_simulation_witness).
+/// Random search on two word functions known to differ: samples random
+/// points until their evaluations disagree. Returns std::nullopt if
+/// `max_points` samples all agree. No verdict path uses it; perfbench
+/// times it.
 std::optional<Witness> find_word_function_witness(const WordFunction& spec_fn,
                                                   const WordFunction& impl_fn,
                                                   const Gf2k& field,

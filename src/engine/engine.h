@@ -122,9 +122,9 @@ struct VerifyResult {
   std::string detail;
   /// Typed witness for kNotEquivalent: the distinguishing input as field
   /// elements, replayed through the bit-parallel simulator. Engines with a
-  /// native witness (abstraction's Schwartz–Zippel point, SAT/BDD/fraig
-  /// models) fill it directly, the portfolio carries its deciding
-  /// attempt's, and run_engine() backfills the rest by simulation search.
+  /// native witness (abstraction's simulation round, SAT/BDD/fraig models)
+  /// fill it directly, the portfolio carries its deciding attempt's, and
+  /// run_engine() backfills the rest by simulation search.
   /// Empty otherwise.
   certify::Counterexample counterexample;
   /// Engine-specific counters (substitutions, conflicts, nodes, …), flat for

@@ -31,26 +31,15 @@ namespace gfa::engine {
 
 namespace {
 
-/// Replays a machine witness and attaches the typed counterexample.
-/// Best-effort: a failure to replay leaves the result untouched, and
-/// run_engine() backfills by simulation search.
-void attach_witness(VerifyResult& out, const Netlist& spec,
-                    const Netlist& impl, const Gf2k& field,
-                    const certify::Witness& witness) {
-  try {
-    out.counterexample = certify::replay_witness(spec, impl, field, witness);
-  } catch (...) {
-  }
-}
-
-/// Groups a miter-input bit assignment (SAT model, BDD path, fraig vector
-/// re-expanded over the miter) into a witness and attaches it.
+/// Groups a miter-input bit assignment (SAT model, BDD path) into a witness
+/// and attaches its replay. Best-effort: on a failure run_engine() searches
+/// the circuits for a witness instead.
 void attach_bit_witness(VerifyResult& out, const Netlist& spec,
                         const Netlist& impl, const Gf2k& field,
                         const Netlist& miter, const std::vector<bool>& bits) {
   try {
-    attach_witness(out, spec, impl, field,
-                   certify::witness_from_bits(miter, bits));
+    out.counterexample = certify::replay_witness(
+        spec, impl, field, certify::witness_from_bits(miter, bits));
   } catch (...) {
   }
 }
@@ -104,7 +93,9 @@ std::optional<VerifyResult> refute_by_simulation(const Netlist& spec,
 // then coefficient matching of the two canonical polynomials. One round of
 // random simulation runs first: it costs O(gates) and refutes nearly every
 // buggy circuit, so only pairs it cannot separate pay for the algebra.
-// EQUIVALENT still comes only from the abstraction.
+// EQUIVALENT still comes only from the abstraction. A NOT EQUIVALENT from
+// the chain carries no witness: run_engine's ending simulates the circuits
+// for one.
 
 class AbstractionEngine final : public EquivEngine {
  public:
@@ -133,16 +124,6 @@ class AbstractionEngine final : public EquivEngine {
     out.verdict =
         r->equivalent ? Verdict::kEquivalent : Verdict::kNotEquivalent;
     out.detail = r->difference;
-    if (out.verdict == Verdict::kNotEquivalent) {
-      // Schwartz–Zippel on the two canonical polynomials: they differ as
-      // functions, so a random point separates them with high probability.
-      try {
-        if (const auto w =
-                certify::find_word_function_witness(r->spec, r->impl, field))
-          attach_witness(out, spec, impl, field, *w);
-      } catch (...) {
-      }
-    }
     set_chain_stats(out, r->spec.stats, r->impl.stats, false);
     return out;
   }
@@ -247,7 +228,8 @@ class FraigEngine final : public EquivEngine {
                   elem.set_coeff(static_cast<unsigned>(b), true);
               w[word->name] = std::move(elem);
             }
-            attach_witness(out, spec, impl, field, w);
+            out.counterexample =
+                certify::replay_witness(spec, impl, field, w);
           } catch (...) {
           }
           break;

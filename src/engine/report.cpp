@@ -14,52 +14,6 @@
 
 namespace gfa::engine {
 
-namespace {
-
-/// Backfills a missing kNotEquivalent witness by simulation search and
-/// replay. Best-effort: instances without the word structure the simulator
-/// needs (or a witness evading the random search) leave the record as-is.
-void backfill_counterexample(EngineRun& run, const Netlist& spec,
-                             const Netlist& impl, const Gf2k& field) {
-  const obs::TraceSpan span("witness_backfill", "engine");
-  GFA_COUNT("witness.backfills", 1);
-  try {
-    const std::optional<certify::Witness> w =
-        certify::find_simulation_witness(spec, impl, field);
-    if (!w) return;
-    run.counterexample = certify::replay_witness(spec, impl, field, *w);
-  } catch (...) {
-    // Witness search is a certification extra, never a reason to fail a
-    // run that already has its verdict.
-  }
-}
-
-/// Cross-checks a kEquivalent verdict by random simulation. A disagreement
-/// (or the injected certify:mismatch fault) rewrites the run's status to
-/// kCertificationFailed and attaches the flight-recorder tail.
-void certify_run(EngineRun& run, const Netlist& spec, const Netlist& impl,
-                 const Gf2k& field) {
-  const obs::TraceSpan span("certify", "engine");
-  certify::CertifyOutcome outcome;
-  try {
-    outcome = certify::certify_equivalence(spec, impl, field);
-  } catch (...) {
-    return;  // malformed word structure: nothing to cross-check
-  }
-  GFA_COUNT("certify.runs", 1);
-  GFA_COUNT("certify.points", outcome.points);
-  run.stats["certify_points"] = static_cast<double>(outcome.points);
-  if (outcome.status.ok()) return;
-  run.status = outcome.status;
-  run.detail = outcome.status.message();
-  for (const obs::flight::Event& e : obs::flight::tail())
-    run.flight_events.push_back(obs::flight::format(e));
-  GFA_LOG_ERROR("engine", "certification failed for " << run.engine << ": "
-                                                      << run.detail);
-}
-
-}  // namespace
-
 EngineRun run_engine(const EquivEngine& engine, const Netlist& spec,
                      const Netlist& impl, const Gf2k& field,
                      const RunOptions& original_options) {
@@ -118,12 +72,7 @@ EngineRun run_engine(const EquivEngine& engine, const Netlist& spec,
     run.attempts = std::move(r->attempts);
     run.canonical_spec = std::move(r->canonical_spec);
     run.canonical_impl = std::move(r->canonical_impl);
-    if (run.verdict == Verdict::kNotEquivalent &&
-        !run.counterexample.replayed) {
-      backfill_counterexample(run, spec, impl, field);
-    } else if (run.verdict == Verdict::kEquivalent && options.certify) {
-      certify_run(run, spec, impl, field);
-    }
+    finish_verdict(run, spec, impl, field, options.certify);
   } else {
     run.status = r.status();
     run.detail = r.status().message();
@@ -134,6 +83,42 @@ EngineRun run_engine(const EquivEngine& engine, const Netlist& spec,
                                               : run.status.to_string())
                           << " in " << run.wall_ms << " ms");
   return run;
+}
+
+void finish_verdict(EngineRun& run, const Netlist& spec, const Netlist& impl,
+                    const Gf2k& field, bool certify) {
+  if (!run.status.ok()) return;
+  if (run.verdict == Verdict::kNotEquivalent && !run.counterexample.replayed) {
+    const obs::TraceSpan span("witness_backfill", "engine");
+    GFA_COUNT("witness.backfills", 1);
+    try {
+      if (const std::optional<certify::Witness> w =
+              certify::find_simulation_witness(spec, impl, field))
+        run.counterexample = certify::replay_witness(spec, impl, field, *w);
+    } catch (...) {
+      // Circuits without the word structure the simulator needs keep their
+      // verdict; the witness is a certification extra.
+    }
+    return;
+  }
+  if (run.verdict != Verdict::kEquivalent || !certify) return;
+  const obs::TraceSpan span("certify", "engine");
+  certify::CertifyOutcome outcome;
+  try {
+    outcome = certify::certify_equivalence(spec, impl, field);
+  } catch (...) {
+    return;  // malformed word structure: nothing to cross-check
+  }
+  GFA_COUNT("certify.runs", 1);
+  GFA_COUNT("certify.points", outcome.points);
+  run.stats["certify_points"] = static_cast<double>(outcome.points);
+  if (outcome.status.ok()) return;
+  run.status = outcome.status;
+  run.detail = outcome.status.message();
+  for (const obs::flight::Event& e : obs::flight::tail())
+    run.flight_events.push_back(obs::flight::format(e));
+  GFA_LOG_ERROR("engine", "certification failed for " << run.engine << ": "
+                                                      << run.detail);
 }
 
 void write_run_report(std::ostream& out, const std::string& tool, unsigned k,

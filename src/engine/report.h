@@ -84,16 +84,22 @@ struct EngineRun {
 /// set and no budget is installed yet (and the engine does not manage its
 /// own), the run executes under a fresh ResourceBudget whose peak lands in
 /// the record.
-///
-/// Verdict certification (src/certify/) runs here, after the engine:
-///  * kNotEquivalent without an engine-supplied counterexample triggers a
-///    simulation witness search, and any witness is simulator-replayed.
-///  * kEquivalent with options.certify set is cross-checked by random
-///    simulation; a disagreement rewrites the run's status to
-///    kCertificationFailed with the flight-recorder tail attached.
+/// A verdict then ends in finish_verdict(), with options.certify.
 EngineRun run_engine(const EquivEngine& engine, const Netlist& spec,
                      const Netlist& impl, const Gf2k& field,
                      const RunOptions& options);
+
+/// The ending of every verdict, whether an engine just produced it or the
+/// service answered from its canonical cache (src/certify/ does the work):
+///  * kNotEquivalent without a replayed counterexample gets one from the
+///    circuits: a simulation witness search, replayed through the
+///    simulator. Best-effort: a search that finds nothing leaves it empty.
+///  * kEquivalent with `certify` set is cross-checked by random simulation;
+///    a disagreement rewrites run.status to kCertificationFailed with the
+///    flight-recorder tail attached.
+/// A run whose status is not OK is left as it is.
+void finish_verdict(EngineRun& run, const Netlist& spec, const Netlist& impl,
+                    const Gf2k& field, bool certify);
 
 /// Writes the batch as a JSON document:
 ///   {"tool": <tool>, "k": <k>, "runs": [{"engine", "status", "verdict",

@@ -24,8 +24,6 @@ namespace gfa::obs {
 struct Progress {
   const char* phase = "";       // e.g. "reduction_chain", "case2_lift"
   std::uint64_t step = 0;       // units of `phase` completed (RATO gates)
-  std::uint64_t total = 0;      // total units, 0 when unknown
-  std::uint64_t terms = 0;      // live rewriter term count, 0 when n/a
   std::uint64_t budget_bytes = 0;  // accounted bytes in use, 0 when unbudgeted
 };
 

@@ -14,7 +14,6 @@
 
 #include "abstraction/canon_serial.h"
 #include "abstraction/equivalence.h"
-#include "certify/certify.h"
 #include "circuit/verilog.h"
 #include "engine/registry.h"
 #include "engine/report.h"
@@ -46,6 +45,15 @@ T clamp_limit(T requested, T fallback, T cap) {
   T v = requested > T{0} ? requested : fallback;
   if (cap > T{0} && (v <= T{0} || v > cap)) v = cap;
   return v;
+}
+
+/// A verify job's outcome fields, from the run that decided it.
+void fill_response(JobResponse& resp, const engine::EngineRun& run) {
+  resp.status = run.status;
+  resp.verdict = run.verdict;
+  resp.detail = run.detail;
+  resp.counterexample = run.counterexample;
+  resp.stats = run.stats;
 }
 
 }  // namespace
@@ -533,43 +541,24 @@ JobResponse Server::run_verify(const JobRequest& req) {
       if (spec_fn.ok() && impl_fn.ok()) {
         // Cache hit: skip extraction, run the cheap coefficient match — the
         // same comparison a cold run ends with, so the verdict is identical
-        // by construction.
-        std::string difference;
-        const bool same = same_word_function(*spec_fn, *impl_fn, &difference);
-        resp.verdict = same ? engine::Verdict::kEquivalent
-                            : engine::Verdict::kNotEquivalent;
-        resp.detail = difference;
-        resp.cache = "hit";
-        resp.stats["cache_hit"] = 1.0;
-        try {
-          if (same && options_.certify) {
-            // A cached equivalence claim is exactly the answer a corrupted
-            // or stale cache would get wrong, so cross-check it against the
-            // circuits themselves before handing it out.
-            const certify::CertifyOutcome check =
-                certify::certify_equivalence(*spec, *impl, *field);
-            resp.stats["certify_points"] = static_cast<double>(check.points);
-            if (!check.status.ok()) {
-              resp.status = check.status;
-              resp.detail = std::string(check.status.message());
-              GFA_COUNT("service.certify_failed", 1);
-              GFA_LOG_ERROR("service", "cache-hit certification failed: "
-                                           << resp.detail);
-            }
-          } else if (!same) {
-            // The coefficient mismatch pinpoints a concrete witness too:
-            // Schwartz–Zippel on the cached word functions, replayed through
-            // the gate-level simulator.
-            if (const std::optional<certify::Witness> w =
-                    certify::find_word_function_witness(*spec_fn, *impl_fn,
-                                                        *field))
-              resp.counterexample =
-                  certify::replay_witness(*spec, *impl, *field, *w);
-          }
-        } catch (const std::exception& e) {
-          GFA_LOG_WARN("service",
-                       "cache-hit certification skipped: " << e.what());
+        // by construction — and end it as a cold run ends. A cached
+        // equivalence claim is exactly the answer a corrupted or stale cache
+        // would get wrong, so with certification on it is cross-checked
+        // against the circuits themselves before it is handed out.
+        engine::EngineRun run;
+        run.engine = req.engine;
+        run.verdict = same_word_function(*spec_fn, *impl_fn, &run.detail)
+                          ? engine::Verdict::kEquivalent
+                          : engine::Verdict::kNotEquivalent;
+        run.stats["cache_hit"] = 1.0;
+        engine::finish_verdict(run, *spec, *impl, *field, options_.certify);
+        if (run.status.code() == StatusCode::kCertificationFailed) {
+          GFA_COUNT("service.certify_failed", 1);
+          GFA_LOG_ERROR("service",
+                        "cache-hit certification failed: " << run.detail);
         }
+        fill_response(resp, run);
+        resp.cache = "hit";
         return resp;
       }
       // A decode failure is treated exactly like a CRC miss: fall through
@@ -603,11 +592,7 @@ JobResponse Server::run_verify(const JobRequest& req) {
   const engine::EngineRun run = worker::run_isolated_with_retry(wreq, policy);
   if (run.status.code() == StatusCode::kWorkerCrashed) quarantine_strike(qkey);
 
-  resp.status = run.status;
-  resp.verdict = run.verdict;
-  resp.detail = run.detail;
-  resp.counterexample = run.counterexample;
-  resp.stats = run.stats;  // includes run_isolated_with_retry's worker_attempts
+  fill_response(resp, run);  // stats include worker_attempts
   if (cacheable) resp.cache = "miss";
   if (have_keys && run.status.ok() && !run.canonical_spec.empty() &&
       !run.canonical_impl.empty()) {

@@ -9,7 +9,7 @@
 //                                                             │ (admission)
 //             worker pool (N threads) <───────────────────────┘
 //             │  canonical-form cache probe (CanonCache)
-//             │  hit:  decode + coefficient match, no fork
+//             │  hit:  decode + coefficient match + finish_verdict, no fork
 //             │  miss: run_isolated_with_retry (forked worker, crash
 //             │        containment, stall detector, retries) and store the
 //             │        exported canonical forms
@@ -31,9 +31,10 @@
 //     waiting clients, and exits 0.
 //   * Health: a "status" request answers from the accept path with pool,
 //     queue, job, cache, quarantine, and (when enabled) metrics snapshots.
-//   * Verdict certification: a cache hit that claims kEquivalent is
-//     cross-checked by random simulation before it is handed out (and cache
-//     misses ship RunOptions::certify to the forked worker); a disagreement
+//   * Verdict certification: a cache hit ends in engine::finish_verdict, as
+//     a fresh run does, so one that claims kEquivalent is cross-checked by
+//     random simulation before it is handed out (and cache misses ship
+//     RunOptions::certify to the forked worker); a disagreement
 //     answers kCertificationFailed — a loud internal error, never a silent
 //     wrong answer. See DESIGN.md "Verdict certification".
 //   * Poison-job quarantine: jobs are fingerprinted by (spec content hash,

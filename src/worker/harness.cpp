@@ -121,8 +121,6 @@ class ChildTelemetry {
         trace_(req.trace) {
     if (interval_ <= 0) return;
     active_ = true;
-    if (obs::metrics_enabled())
-      last_metrics_ = obs::Metrics::instance().snapshot();
     obs::set_progress_sink(
         [this](const obs::Progress& p) { on_progress(p); });
     thread_ = std::thread([this] { heartbeat_loop(); });
@@ -181,19 +179,11 @@ class ChildTelemetry {
 
   void send_locked(std::chrono::steady_clock::time_point now) {
     TelemetryFrame t;
-    t.seq = ++seq_;
     t.phase = last_.phase;
     t.step = last_.step;
-    t.total = last_.total;
-    t.terms = last_.terms;
-    t.budget_bytes = last_.budget_bytes;
     t.rss_bytes = obs::sample_rss_bytes();
-    if (obs::metrics_enabled()) {
-      t.metrics = obs::Metrics::instance().delta(last_metrics_);
-      last_metrics_ = obs::Metrics::instance().snapshot();
-    }
-    if (t.budget_bytes > budget_hwm_) {
-      budget_hwm_ = t.budget_bytes;
+    if (last_.budget_bytes > budget_hwm_) {
+      budget_hwm_ = last_.budget_bytes;
       obs::flight::note("budget:hwm", budget_hwm_, t.rss_bytes);
     }
     (void)write_frame(fd_, encode_telemetry_frame(t));
@@ -224,8 +214,6 @@ class ChildTelemetry {
   std::thread thread_;
   obs::Progress last_;
   std::chrono::steady_clock::time_point last_send_{};
-  obs::MetricsSnapshot last_metrics_;
-  std::uint64_t seq_ = 0;
   std::uint64_t budget_hwm_ = 0;
   std::size_t trace_sent_ = 0;
 };
@@ -596,7 +584,7 @@ engine::EngineRun run_in_worker(const WorkerRequest& request,
   return run;
 }
 
-engine::EngineRun run_isolated_with_retry(WorkerRequest request,
+engine::EngineRun run_isolated_with_retry(const WorkerRequest& request,
                                           const RetryPolicy& policy,
                                           const WorkerConfig& config) {
   const unsigned max_attempts = std::max(1u, policy.max_attempts);
@@ -619,15 +607,10 @@ engine::EngineRun run_isolated_with_retry(WorkerRequest request,
     history.push_back(std::move(record));
 
     if (run.status.ok() || !RetryPolicy::retryable(run.status.code())) break;
-    if (attempt < max_attempts) {
+    if (attempt < max_attempts)
       GFA_LOG_WARN("worker", "attempt " << attempt << " failed ("
                                         << run.status.to_string()
                                         << "), retrying");
-      std::size_t& budget = request.options.memory_budget_bytes;
-      if (policy.budget_escalation > 1.0 && budget != 0)
-        budget = static_cast<std::size_t>(static_cast<double>(budget) *
-                                          policy.budget_escalation);
-    }
   }
   run.stats["worker_attempts"] = static_cast<double>(history.size());
   // A failed final attempt without its own flight dump (e.g. a SIGKILLed

@@ -30,10 +30,10 @@
 // report's "flight_recorder" event tail.
 //
 // run_isolated_with_retry() wraps run_in_worker() in a RetryPolicy: crashed
-// (or mem-killed) attempts re-fork after an exponential backoff, optionally
-// with an escalated memory budget, and every attempt is recorded in the
-// returned EngineRun's attempts array — the JSON report shows the crash
-// history next to the final verdict.
+// (or mem-killed) attempts re-fork the same request after an exponential
+// backoff, and every attempt is recorded in the returned EngineRun's
+// attempts array — the JSON report shows the crash history next to the
+// final verdict.
 
 #include <functional>
 #include <sys/types.h>
@@ -67,10 +67,9 @@ engine::EngineRun run_in_worker(const WorkerRequest& request,
 
 /// run_in_worker() under a RetryPolicy: retries retryable failures (worker
 /// crashes, resource exhaustion, internal errors) up to policy.max_attempts
-/// total attempts, sleeping policy.delay_before_attempt() between them and
-/// multiplying the memory budget by policy.budget_escalation per retry. The
+/// total attempts, sleeping policy.delay_before_attempt() between them. The
 /// attempts array records every try; stats gains "worker_attempts".
-engine::EngineRun run_isolated_with_retry(WorkerRequest request,
+engine::EngineRun run_isolated_with_retry(const WorkerRequest& request,
                                           const RetryPolicy& policy,
                                           const WorkerConfig& config = {});
 

@@ -202,17 +202,9 @@ std::string encode_telemetry_frame(const TelemetryFrame& t) {
   JsonWriter w(out, 0);
   w.begin_object();
   w.member("frame", "telemetry");
-  w.member("seq", t.seq);
   w.member("phase", t.phase);
   w.member("step", t.step);
-  w.member("total", t.total);
-  w.member("terms", t.terms);
-  w.member("budget_bytes", t.budget_bytes);
   w.member("rss_bytes", t.rss_bytes);
-  w.key("metrics");
-  w.begin_object();
-  for (const auto& [name, value] : t.metrics) w.member(name, value);
-  w.end_object();
   w.end_object();
   return out.str();
 }
@@ -221,19 +213,9 @@ Result<TelemetryFrame> decode_telemetry_frame(const JsonValue& doc) {
   if (!doc.is_object())
     return Status::invalid_argument("telemetry frame is not a JSON object");
   TelemetryFrame t;
-  t.seq = doc.u64_or("seq", 0);
   t.phase = doc.string_or("phase", "");
   t.step = doc.u64_or("step", 0);
-  t.total = doc.u64_or("total", 0);
-  t.terms = doc.u64_or("terms", 0);
-  t.budget_bytes = doc.u64_or("budget_bytes", 0);
   t.rss_bytes = doc.u64_or("rss_bytes", 0);
-  if (const JsonValue* metrics = doc.find("metrics");
-      metrics != nullptr && metrics->is_object()) {
-    for (const auto& [name, value] : metrics->members())
-      if (value.is_number())
-        t.metrics[name] = static_cast<std::uint64_t>(value.as_number());
-  }
   return t;
 }
 

@@ -11,8 +11,7 @@
 //
 // The child-to-parent direction is a frame *stream*, discriminated by a
 // top-level "frame" key:
-//   * "telemetry" — periodic heartbeat/progress (phase, RATO step/total,
-//     term count, budget bytes, RSS, metrics delta);
+//   * "telemetry" — periodic heartbeat/progress (phase, step, RSS);
 //   * "trace"     — a slice of the child's Chrome trace buffer plus the
 //     child's trace epoch, for parent-side re-stamping and merging;
 //   * "flight"    — the crash flight-recorder ring, emitted by the child's
@@ -31,7 +30,6 @@
 // protocol corruption, not an allocation request.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,16 +83,9 @@ FrameKind frame_kind(const JsonValue& doc);
 
 /// One heartbeat/progress observation from the child.
 struct TelemetryFrame {
-  std::uint64_t seq = 0;
   std::string phase;
   std::uint64_t step = 0;
-  std::uint64_t total = 0;
-  std::uint64_t terms = 0;
-  std::uint64_t budget_bytes = 0;
   std::uint64_t rss_bytes = 0;
-  /// Metrics-registry delta since the previous frame (counters; gauges carry
-  /// their current value). Empty when the child runs with metrics disabled.
-  std::map<std::string, std::uint64_t> metrics;
 };
 
 /// A slice of the child's trace buffer. Events carry child-local timestamps

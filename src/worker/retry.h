@@ -4,10 +4,9 @@
 // A crashed worker (kWorkerCrashed), an OOM-killed one surfacing as
 // kResourceExhausted, or an unexpected internal error are all transient from
 // the supervisor's point of view: the same request may well succeed on a
-// clean re-fork — especially with a little more memory. This policy decides
-// how many times to try, how long to sleep between attempts (exponential
-// backoff, doubling from backoff_seconds up to a 30 s cap), and whether to
-// escalate the memory budget per retry. The delays carry no jitter: a retry
+// clean re-fork. This policy decides how many times to try and how long to
+// sleep between attempts (exponential backoff, doubling from
+// backoff_seconds up to a 30 s cap). The delays carry no jitter: a retry
 // re-forks a local child, so there is no shared resource for concurrent
 // retries to de-synchronise against.
 
@@ -21,9 +20,6 @@ struct RetryPolicy {
   unsigned max_attempts = 1;
   /// Backoff before the first retry; doubles per further retry.
   double backoff_seconds = 0.25;
-  /// Per-retry multiplier on the worker's memory budget (1.0 = none): a
-  /// mem-killed attempt retries with budget * escalation, then * escalation²…
-  double budget_escalation = 1.0;
 
   /// Growth factor of the backoff per further retry, and its ceiling.
   static constexpr double kBackoffFactor = 2.0;

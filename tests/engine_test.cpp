@@ -309,6 +309,34 @@ TEST(AbstractionRefutation, PairTheRoundCannotSeparateDecidesThroughTheChain) {
   EXPECT_TRUE(run.counterexample.replayed);
 }
 
+TEST(AbstractionRefutation, ChainRefutationTakesItsWitnessFromTheCircuits) {
+  // k = 11: the input words total 22 bits, so the witness search samples
+  // random inputs rather than enumerating them.
+  const Gf2k field = Gf2k::make(11);
+  const Netlist spec = make_mastrovito_multiplier(field);
+  const Netlist impl = test::cube_the_round_misses(spec, field);
+  ASSERT_FALSE(
+      certify::find_random_simulation_witness(spec, impl, field, 1).has_value());
+  const EquivEngine& abstraction = *EngineRegistry::global().find("abstraction");
+  // The chain's own verdict is a coefficient mismatch, without a point.
+  const Result<VerifyResult> direct =
+      abstraction.verify(spec, impl, field, RunOptions{});
+  ASSERT_TRUE(direct.ok()) << direct.status().to_string();
+  EXPECT_EQ(direct->verdict, Verdict::kNotEquivalent);
+  EXPECT_EQ(direct->stats.at("refuted_by_simulation"), 0.0);
+  EXPECT_TRUE(direct->counterexample.empty());
+  // run_engine's ending finds the point by simulating the circuits.
+  const EngineRun run = run_engine(abstraction, spec, impl, field, RunOptions{});
+  ASSERT_TRUE(run.status.ok()) << run.status.to_string();
+  EXPECT_EQ(run.verdict, Verdict::kNotEquivalent);
+  EXPECT_NE(run.detail.find("coefficients differ"), std::string::npos)
+      << run.detail;
+  EXPECT_GT(run.stats.at("impl_substitutions"), 0.0);
+  EXPECT_TRUE(run.counterexample.replayed);
+  EXPECT_EQ(run.counterexample.output_word, "Z");
+  EXPECT_NE(run.counterexample.expected, run.counterexample.actual);
+}
+
 TEST(AbstractionRefutation, WordsOfAnotherWidthAreStillInvalidArgument) {
   // A mutant pair of 4-bit words verified over F_2^8: the round must not
   // answer for circuits the chain rejects.

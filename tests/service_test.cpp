@@ -28,6 +28,7 @@
 #include "circuit/parser.h"
 #include "service/client.h"
 #include "service/service.h"
+#include "test_util.h"
 #include "util/fault_inject.h"
 #include "util/json_reader.h"
 
@@ -317,6 +318,46 @@ TEST(Service, StatusReportsPoolQueueAndCache) {
   const JsonValue* cache = doc->find("cache");
   ASSERT_NE(cache, nullptr);
   EXPECT_TRUE(cache->bool_or("enabled", false));
+  EXPECT_EQ(srv.drain_and_join(), 0);
+}
+
+TEST(Service, CacheHitRefutationRepeatsTheMissesCounterexample) {
+  // A bug the simulation round misses reaches the chain, so the miss stores
+  // both canonical forms and the second send is answered from the cache.
+  // Both answers end in the same witness search of the circuits.
+  const std::string dir = temp_dir();
+  const Gf2k field = Gf2k::make(11);
+  const Netlist spec = make_mastrovito_multiplier(field);
+  const std::string spec_path = dir + "/spec.net";
+  const std::string bug_path = dir + "/cube.net";
+  write_netlist_file(spec, spec_path);
+  write_netlist_file(test::cube_the_round_misses(spec, field), bug_path);
+  const std::string path = dir + "/gfa.sock";
+  TestServer srv;
+  ASSERT_TRUE(srv.start(base_options(path)).ok());
+  Result<ServiceClient> client = ServiceClient::connect(path);
+  ASSERT_TRUE(client.ok()) << client.status().to_string();
+
+  const JobRequest req = verify_request(spec_path, bug_path, 11);
+  const Result<JobResponse> miss = client->call(req, 120.0);
+  ASSERT_TRUE(miss.ok()) << miss.status().to_string();
+  ASSERT_TRUE(miss->status.ok()) << miss->status.to_string();
+  const Result<JobResponse> hit = client->call(req, 120.0);
+  ASSERT_TRUE(hit.ok()) << hit.status().to_string();
+  ASSERT_TRUE(hit->status.ok()) << hit->status.to_string();
+  EXPECT_EQ(miss->cache, "stored");
+  EXPECT_EQ(hit->cache, "hit");
+  EXPECT_EQ(hit->stats.at("cache_hit"), 1.0);
+  for (const JobResponse* r : {&*miss, &*hit}) {
+    EXPECT_EQ(r->verdict, engine::Verdict::kNotEquivalent);
+    EXPECT_NE(r->detail.find("coefficients differ"), std::string::npos)
+        << r->detail;
+    EXPECT_TRUE(r->counterexample.replayed);
+  }
+  EXPECT_EQ(hit->counterexample.inputs, miss->counterexample.inputs);
+  EXPECT_EQ(hit->counterexample.output_word, miss->counterexample.output_word);
+  EXPECT_EQ(hit->counterexample.expected, miss->counterexample.expected);
+  EXPECT_EQ(hit->counterexample.actual, miss->counterexample.actual);
   EXPECT_EQ(srv.drain_and_join(), 0);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -99,17 +100,19 @@ inline Netlist make_random_word_circuit(unsigned k, std::uint64_t seed,
   return nl;
 }
 
-/// `nl` with the minterm of `point` (bit i is the value of nl.inputs()[i])
-/// XORed into bit 0 of word "Z": the two differ at that one input point.
-/// The gate that computed z0 moves to a new net and z0 is rewired in
-/// place, so z0's fanins now carry larger NetIds than z0 itself.
-inline Netlist xor_minterm_into_z0(Netlist nl, std::uint64_t point) {
+/// `nl` with the cube over the inputs `vars` (bit i of `point` is the value
+/// it requires of vars[i]) XORed into bit 0 of word "Z": the two differ
+/// exactly where the cube holds. The gate that computed z0 moves to a new
+/// net and z0 is rewired in place, so z0's fanins now carry larger NetIds
+/// than z0 itself.
+inline Netlist xor_cube_into_z0(Netlist nl, const std::vector<NetId>& vars,
+                                std::uint64_t point) {
   const NetId z0 = nl.find_word("Z")->bits[0];
   const Netlist::Gate old = nl.gate(z0);
   const NetId moved = nl.add_gate(old.type, old.fanins, old.name + "_moved");
   std::vector<NetId> literals;
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    const NetId in = nl.inputs()[i];
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    const NetId in = vars[i];
     literals.push_back((point >> i) & 1u
                            ? in
                            : nl.add_gate(GateType::kNot, {in},
@@ -118,6 +121,13 @@ inline Netlist xor_minterm_into_z0(Netlist nl, std::uint64_t point) {
   const NetId minterm = nl.add_gate(GateType::kAnd, literals, "minterm");
   nl.mutable_gate(z0) = Netlist::Gate{GateType::kXor, {moved, minterm}, old.name};
   return nl;
+}
+
+/// `nl` with the minterm of `point` (bit i is the value of nl.inputs()[i])
+/// XORed into bit 0 of word "Z": the two differ at that one input point.
+inline Netlist xor_minterm_into_z0(Netlist nl, std::uint64_t point) {
+  const std::vector<NetId> all = nl.inputs();
+  return xor_cube_into_z0(std::move(nl), all, point);
 }
 
 /// A bug that the abstraction engine's simulation round misses: `spec` with
@@ -130,6 +140,24 @@ inline Netlist bug_the_round_misses(const Netlist& spec, const Gf2k& field) {
     Netlist impl = xor_minterm_into_z0(spec, point);
     if (!certify::find_random_simulation_witness(spec, impl, field, 1))
       return impl;
+  }
+}
+
+/// A bug that the simulation round misses in a field too wide to enumerate:
+/// `spec` (words A, B, Z with k > 10, so the inputs total more than 20
+/// bits) with a 5-literal cube over a0-a2 and b0-b1 XORed into z0. The
+/// literals' polarities are the first, counting down from all true, that
+/// none of the round's 64 lanes satisfies. The cube leaves a degree-5 term
+/// in the remainder, so the chain decides through the general lift.
+inline Netlist cube_the_round_misses(const Netlist& spec, const Gf2k& field) {
+  const std::vector<NetId>& a = spec.find_word("A")->bits;
+  const std::vector<NetId>& b = spec.find_word("B")->bits;
+  const std::vector<NetId> vars = {a[0], a[1], a[2], b[0], b[1]};
+  for (std::uint64_t point = 31;; --point) {
+    Netlist impl = xor_cube_into_z0(spec, vars, point);
+    if (!certify::find_random_simulation_witness(spec, impl, field, 1))
+      return impl;
+    if (point == 0) throw std::logic_error("the round hits every cube");
   }
 }
 

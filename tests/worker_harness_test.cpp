@@ -334,28 +334,17 @@ TEST(WorkerProtocol, FrameKindDiscriminatesTheStream) {
 
 TEST(WorkerProtocol, TelemetryFrameCodecRoundTrips) {
   TelemetryFrame t;
-  t.seq = 17;
   t.phase = "reduction_chain";
   t.step = 1234;
-  t.total = 5000;
-  t.terms = 98765;
-  t.budget_bytes = std::uint64_t{1} << 30;
   t.rss_bytes = std::uint64_t{2} << 30;
-  t.metrics["reduction_steps"] = 4321;
-  t.metrics["rewriter.substitution_us.p99"] = 127;
   const Result<JsonValue> doc = parse_json(encode_telemetry_frame(t));
   ASSERT_TRUE(doc.ok()) << doc.status().to_string();
   EXPECT_EQ(frame_kind(*doc), FrameKind::kTelemetry);
   const Result<TelemetryFrame> back = decode_telemetry_frame(*doc);
   ASSERT_TRUE(back.ok()) << back.status().to_string();
-  EXPECT_EQ(back->seq, t.seq);
   EXPECT_EQ(back->phase, t.phase);
   EXPECT_EQ(back->step, t.step);
-  EXPECT_EQ(back->total, t.total);
-  EXPECT_EQ(back->terms, t.terms);
-  EXPECT_EQ(back->budget_bytes, t.budget_bytes);
   EXPECT_EQ(back->rss_bytes, t.rss_bytes);
-  EXPECT_EQ(back->metrics, t.metrics);
 }
 
 TEST(WorkerProtocol, TraceFrameCodecRoundTrips) {

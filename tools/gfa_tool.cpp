@@ -9,17 +9,15 @@
 //                   [--attempt-timeout=<s>] [--portfolio-engines=<a,b,…>]
 //                   [--race] [--certify]
 //                   [--isolate] [--retries=<n>] [--retry-backoff=<dur>]
-//                   [--retry-budget-escalation=<f>]
 //                   [--heartbeat-interval=<s>] [--stall-timeout=<s>]
 //   gfa_tool compare <spec> <impl> <k> [--engines=<a,b,…>] [--timeout=<s>]
 //                    [--report=<file>]
 //   gfa_tool engines                       list registered engines
-//   gfa_tool sat <spec> <impl> <k> [N]     legacy CDCL miter check
 //   gfa_tool stats <file>                  netlist statistics
 //
 // Observability (any command; see DESIGN.md "Observability"):
-//   --metrics            enable the metrics registry; nonzero values print
-//                        after the command and embed into --report JSON
+//   --metrics            enable the metrics registry; every metric prints
+//                        after the command and embeds into --report JSON
 //   --trace=<file>       record phase spans, write Chrome trace-event JSON
 //   --log-level=<level>  error|warn|info|debug (overrides GFA_LOG)
 //
@@ -52,8 +50,6 @@
 #include <vector>
 
 #include "abstraction/extractor.h"
-#include "baselines/miter.h"
-#include "baselines/sat/solver.h"
 #include "circuit/arith_extras.h"
 #include "circuit/karatsuba.h"
 #include "circuit/mastrovito.h"
@@ -119,7 +115,6 @@ struct Flags {
   unsigned retries = 0;           // extra isolated attempts after the first
   bool retries_set = false;       // --retries given (needs --isolate)
   double retry_backoff_seconds = 0.25;
-  double retry_budget_escalation = 1.0;
   double heartbeat_interval_seconds = 1.0;  // worker telemetry cadence; 0 = off
   double stall_timeout_seconds = 0.0;       // 0 = stall detector off
   unsigned threads = 0;              // 0 = GFA_THREADS / hardware default
@@ -144,8 +139,7 @@ constexpr std::string_view kValueFlags[] = {
     "--report",          "--trace",            "--log-level",
     "--memory-budget",   "--attempt-timeout",  "--portfolio-engines",
     "--inject",          "--retries",          "--retry-backoff",
-    "--retry-budget-escalation", "--heartbeat-interval",
-    "--stall-timeout",   "--threads"};
+    "--heartbeat-interval", "--stall-timeout", "--threads"};
 
 Result<Flags> parse_flags(int argc, char** argv) {
   Flags flags;
@@ -188,10 +182,6 @@ Result<Flags> parse_flags(int argc, char** argv) {
       Result<double> d = parse_duration_seconds(value);
       if (!d.ok()) return d.status();
       flags.retry_backoff_seconds = *d;
-    } else if (name == "--retry-budget-escalation") {
-      Result<double> f = parse_double(value, 1.0, 100.0);
-      if (!f.ok()) return f.status();
-      flags.retry_budget_escalation = *f;
     } else if (name == "--heartbeat-interval") {
       Result<double> d = parse_double(value, 0.0, 1e9);
       if (!d.ok()) return d.status();
@@ -281,15 +271,14 @@ void maybe_write_trace(const Flags& flags) {
   obs::Tracer::instance().write_chrome_trace(out);
 }
 
-/// With --metrics, prints every nonzero metric after the command's output.
+/// With --metrics, prints every registered metric after the command's
+/// output, those at 0 included.
 void maybe_print_metrics(const Flags& flags) {
   if (!flags.metrics) return;
   std::printf("-- metrics --\n");
-  for (const auto& [name, value] : obs::Metrics::instance().snapshot()) {
-    if (value == 0) continue;
+  for (const auto& [name, value] : obs::Metrics::instance().snapshot())
     std::printf("%-32s %llu\n", name.c_str(),
                 static_cast<unsigned long long>(value));
-  }
 }
 
 /// The flags' engine settings under a deadline that starts now.
@@ -410,7 +399,6 @@ int cmd_verify(const Flags& flags) {
     worker::RetryPolicy policy;
     policy.max_attempts = flags.retries + 1;
     policy.backoff_seconds = flags.retry_backoff_seconds;
-    policy.budget_escalation = flags.retry_budget_escalation;
     // The child gets the circuit *paths* and parses them itself, so a parse
     // crash stays inside the sandbox too.
     worker::WorkerRequest req;
@@ -532,41 +520,6 @@ int cmd_engines(const Flags& flags) {
   return 0;
 }
 
-int cmd_sat(const Flags& flags) {
-  if (flags.positional.size() != 3 && flags.positional.size() != 4)
-    return kUsage;
-  const Result<Netlist> spec = load(flags.positional[0]);
-  if (!spec.ok()) return fail(spec.status());
-  const Result<Netlist> impl = load(flags.positional[1]);
-  if (!impl.ok()) return fail(impl.status());
-  std::uint64_t limit = 0;
-  if (flags.positional.size() == 4) {
-    const Result<std::uint64_t> parsed = parse_u64(flags.positional[3]);
-    if (!parsed.ok()) return fail(parsed.status());
-    limit = *parsed;
-  }
-  const Netlist miter = make_miter(*spec, *impl);
-  const Cnf cnf = tseitin_encode(miter, miter.outputs()[0]);
-  sat::Solver solver;
-  for (const auto& clause : cnf.clauses) solver.add_clause(clause);
-  const sat::Result r = solver.solve(limit);
-  std::printf("%zu clauses, %llu conflicts: %s\n", cnf.clauses.size(),
-              static_cast<unsigned long long>(solver.stats().conflicts),
-              r == sat::Result::kUnsat    ? "EQUIVALENT (miter UNSAT)"
-              : r == sat::Result::kSat    ? "NOT EQUIVALENT (miter SAT)"
-                                          : "UNKNOWN (conflict budget hit)");
-  if (r == sat::Result::kSat) {
-    std::printf("counterexample:");
-    for (NetId n : miter.inputs())
-      std::printf(" %s=%d", miter.gate(n).name.c_str(),
-                  solver.model_value(static_cast<int>(n) + 1) ? 1 : 0);
-    std::printf("\n");
-  }
-  return r == sat::Result::kUnsat ? 0
-         : r == sat::Result::kSat ? kVerdictNotEquivalent
-                                  : kVerdictUnknown;
-}
-
 int cmd_stats(const Flags& flags) {
   if (flags.positional.size() != 1) return kUsage;
   const Result<Netlist> loaded = load(flags.positional[0]);
@@ -601,13 +554,11 @@ void usage() {
       " [--report=<file>]\n"
       "          [--memory-budget=<bytes|64K|512M|2G>] [--attempt-timeout=<s>]"
       " [--portfolio-engines=<a,b,...>] [--race] [--certify]\n"
-      "          [--isolate] [--retries=<n>] [--retry-backoff=<dur>]"
-      " [--retry-budget-escalation=<f>]\n"
+      "          [--isolate] [--retries=<n>] [--retry-backoff=<dur>]\n"
       "          [--heartbeat-interval=<s>] [--stall-timeout=<s>]\n"
       "  gfa_tool compare <spec> <impl> <k> [--engines=<a,b,...>]"
       " [--timeout=<s>] [--report=<file>]\n"
       "  gfa_tool engines\n"
-      "  gfa_tool sat <spec> <impl> <k> [conflict-limit]\n"
       "  gfa_tool stats <file>\n"
       "observability flags (any command):\n"
       "  --threads=<n>          parallel loop width, 1..1024 (default:"
@@ -641,7 +592,6 @@ int main(int argc, char** argv) {
     else if (cmd == "verify") rc = cmd_verify(*flags);
     else if (cmd == "compare") rc = cmd_compare(*flags);
     else if (cmd == "engines") rc = cmd_engines(*flags);
-    else if (cmd == "sat") rc = cmd_sat(*flags);
     else if (cmd == "stats") rc = cmd_stats(*flags);
     if (rc == kUsage) usage();
     maybe_print_metrics(*flags);
